@@ -4,7 +4,8 @@ Commands map one-to-one onto library operations and write a CSV result
 table plus a JSON report to <outdir>/<command>-<seed>.{csv,json}. CSV
 bodies are deterministic for a fixed configuration (timestamps live only
 in the JSON report). Exit codes: 0 success, 1 usage or validation error,
-2 numerical failure (diagnostic recorded in the JSON report).
+2 numerical failure. A run that fails after parsing removes any earlier
+CSV of the same name and records the error in the JSON report.
 
 A flat JSON config file can supply any flag (keys are flag names
 without the leading dashes); explicit command-line flags win.
@@ -12,6 +13,7 @@ without the leading dashes); explicit command-line flags win.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -45,16 +47,6 @@ class RunConfig:
     outdir: str
     write_csv: bool
     write_json: bool
-
-
-@dataclass(frozen=True)
-class RunReport:
-    version: str
-    timestamp: str
-    config: RunConfig
-    columns: list
-    rows: list
-    summary: dict
 
 
 def _positive_int(value, name, lo=1, hi=None):
@@ -115,13 +107,11 @@ def cmd_qkd_sweep(params, seed):
 
 
 def cmd_qkd_thresholds(params, seed):
-    tol = params["tol"]
-    if tol < 1e-6:
-        raise ValueError(f"parameter --tol must be >= 1e-6, got {tol}")
     summary = {}
     rows = []
     for kind in qkd.THRESHOLD_KINDS:
-        value = qkd.threshold(kind, tol=tol, eve_measurement=params["eve"])
+        value = qkd.threshold(kind, tol=params["tol"],
+                              eve_measurement=params["eve"])
         summary[kind] = value
         rows.append([kind, value])
     return ["kind", "critical_disturbance"], rows, summary
@@ -213,10 +203,7 @@ def cmd_clone_mixture(params, seed):
 
 
 def cmd_clone_fit(params, seed):
-    path = params["input"]
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"input file not found: {path}")
-    data = cloning.load_fidelity_csv(path)
+    data = cloning.load_fidelity_csv(params["input"])
     q_hat, rss = cloning.fit_q(data)
     rows = [[q_hat, rss, data.shape[0]]]
     return (["q_hat", "rss", "records"], rows, {"q_hat": q_hat, "rss": rss})
@@ -224,8 +211,6 @@ def cmd_clone_fit(params, seed):
 
 def cmd_weak_toa(params, seed):
     t_c = params["tc"]
-    if t_c <= 0:
-        raise ValueError(f"parameter --tc must be positive, got {t_c}")
     pulse = wm.PolarizedPulse(t_c, wm.jones_elliptical(params["theta-pre"],
                                                        params["phi-pre"]))
     pmd = wm.PmdElement(params["dtau"])
@@ -336,14 +321,14 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None,
                         help="flat JSON file supplying flag values")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=int, default=0,
                         help="random seed (default 0, always recorded)")
-    common.add_argument("--outdir", default=None,
+    common.add_argument("--outdir", default=os.environ.get(OUTDIR_ENV, "."),
                         help=f"output directory (default ${OUTDIR_ENV} or .)")
     common.add_argument("--csv", action=argparse.BooleanOptionalAction,
-                        default=None, help="write the CSV table (default on)")
+                        default=True, help="write the CSV table (default on)")
     common.add_argument("--json", action=argparse.BooleanOptionalAction,
-                        default=None, help="write the JSON report (default on)")
+                        default=True, help="write the JSON report (default on)")
 
     parser = _Parser(prog="qclink", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -358,63 +343,33 @@ def _build_parser():
                                                 parser_class=_Parser)
         leaf = by_group[group].add_parser(sub, parents=[common])
         for name, (kind, default) in spec.items():
-            flag = f"--{name}"
             if isinstance(kind, list):
-                leaf.add_argument(flag, choices=kind, default=None)
+                leaf.add_argument(f"--{name}", choices=kind, default=default)
             else:
-                leaf.add_argument(flag, type=kind, default=None)
+                leaf.add_argument(f"--{name}", type=kind, default=default)
     return parser
 
 
-def _merge_config(args, spec):
-    """Resolve parameter values: explicit flags > config file > defaults."""
-    file_values = {}
-    if args.config is not None:
-        if not os.path.exists(args.config):
-            raise UsageError(f"config file not found: {args.config}")
-        with open(args.config) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"config file {args.config}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise UsageError(f"config file {args.config} must hold one "
-                             "JSON object")
-        known = set(spec) | {"seed", "outdir", "csv", "json"}
-        for key, value in raw.items():
-            norm = key.lstrip("-").replace("_", "-")
-            if norm not in known:
-                raise UsageError(f"config file {args.config}: unknown "
-                                 f"parameter {key!r}")
-            file_values[norm] = value
-
-    params = {}
-    for name, (kind, default) in spec.items():
-        cli_value = getattr(args, name.replace("-", "_"))
-        if cli_value is not None:
-            params[name] = cli_value
-        elif name in file_values:
-            value = file_values[name]
-            params[name] = value if isinstance(kind, list) else kind(value)
-        elif default is _REQUIRED:
-            raise UsageError(f"missing required parameter --{name}")
+def _config_flags(path, spec):
+    """Flag tokens for the values of a flat JSON config file."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"config file {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise UsageError(f"config file {path} must hold one JSON object")
+    known = set(spec) | {"seed", "outdir", "csv", "json"}
+    flags = []
+    for key, value in raw.items():
+        name = key.lstrip("-").replace("_", "-")
+        if name not in known:
+            raise UsageError(f"config file {path}: unknown parameter {key!r}")
+        if isinstance(value, bool):
+            flags.append(f"--{name}" if value else f"--no-{name}")
         else:
-            params[name] = default
-
-    def setting(name, fallback):
-        cli_value = getattr(args, name)
-        if cli_value is not None:
-            return cli_value
-        return file_values.get(name, fallback)
-
-    seed = int(setting("seed", 0))
-    if not 0 <= seed < 2 ** 64:
-        raise UsageError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    outdir = setting("outdir", None)
-    if outdir is None:
-        outdir = os.environ.get(OUTDIR_ENV, ".")
-    return params, seed, str(outdir), bool(setting("csv", True)), \
-        bool(setting("json", True))
+            flags.append(f"--{name}={value}")
+    return flags
 
 
 def _fmt_cell(value):
@@ -430,6 +385,7 @@ def _fmt_cell(value):
 
 
 def _jsonable(value):
+    """Plain JSON value; non-finite floats become "inf", "-inf", "nan"."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, (np.bool_,)):
@@ -437,7 +393,8 @@ def _jsonable(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return float(value)
+        value = float(value)
+        return value if math.isfinite(value) else str(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, np.ndarray)):
@@ -445,61 +402,64 @@ def _jsonable(value):
     return str(value)
 
 
+def _write_report(config, path, **outcome):
+    """Write a run's JSON report: its configuration plus the outcome."""
+    payload = {"tool": "qclink", "version": __version__,
+               "timestamp": datetime.now(timezone.utc).isoformat(),
+               "command": config.command,
+               "config": {"params": config.params, "seed": config.seed,
+                          "outdir": config.outdir, "csv": config.write_csv,
+                          "json": config.write_json},
+               **outcome}
+    with open(path, "w") as fh:
+        json.dump(_jsonable(payload), fh, indent=2, allow_nan=False)
+
+
 def execute(config):
-    """Run one command and write its report files. Returns the RunReport."""
+    """Run one command and write its report files. Returns the summary."""
     handler, _ = COMMANDS[tuple(config.command.split("-", 1))]
     os.makedirs(config.outdir, exist_ok=True)
     base = os.path.join(config.outdir, f"{config.command}-{config.seed}")
     csv_path, json_path = base + ".csv", base + ".json"
     try:
         columns, rows, summary = handler(config.params, config.seed)
-    except (RuntimeError, ArithmeticError) as exc:
-        # numerical failure: clear stale table, keep a diagnostic report
+    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         if os.path.exists(csv_path):
             os.remove(csv_path)
-        diag = {"tool": "qclink", "version": __version__,
-                "timestamp": datetime.now(timezone.utc).isoformat(),
-                "command": config.command,
-                "config": _jsonable(vars(config) | {"params": config.params}),
-                "error": str(exc)}
-        with open(json_path, "w") as fh:
-            json.dump(diag, fh, indent=2)
+        _write_report(config, json_path, error=str(exc))
         raise
 
-    report = RunReport(
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        config=config, columns=columns, rows=rows, summary=summary)
     if config.write_json:
-        payload = {"tool": "qclink", "version": report.version,
-                   "timestamp": report.timestamp,
-                   "command": config.command,
-                   "config": {"params": _jsonable(config.params),
-                              "seed": config.seed, "outdir": config.outdir,
-                              "csv": config.write_csv,
-                              "json": config.write_json},
-                   "columns": columns,
-                   "rows": _jsonable(rows),
-                   "summary": _jsonable(summary)}
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+        _write_report(config, json_path, columns=columns, rows=rows,
+                      summary=summary)
     if config.write_csv:
         lines = [",".join(columns)]
         lines += [",".join(_fmt_cell(v) for v in row) for row in rows]
         with open(csv_path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
-    return report
+    return summary
 
 
 def parse(argv):
-    """Parse flags (and an optional config file) into a RunConfig."""
+    """Parse flags into a RunConfig. A --config file's values are parsed
+    as flags placed before the explicit ones, which therefore win."""
+    argv = list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     spec = COMMANDS[args.group, args.subcommand][1]
-    params, seed, outdir, write_csv, write_json = _merge_config(args, spec)
+    if args.config is not None:
+        args = parser.parse_args(
+            argv[:2] + _config_flags(args.config, spec) + argv[2:])
+    params = {name: getattr(args, name.replace("-", "_")) for name in spec}
+    for name, value in params.items():
+        if value is _REQUIRED:
+            raise UsageError(f"missing required parameter --{name}")
+    if not 0 <= args.seed < 2 ** 64:
+        raise UsageError(
+            f"seed must be a 64-bit unsigned integer, got {args.seed}")
     return RunConfig(command=f"{args.group}-{args.subcommand}",
-                     params=params, seed=seed, outdir=outdir,
-                     write_csv=write_csv, write_json=write_json)
+                     params=params, seed=args.seed, outdir=args.outdir,
+                     write_csv=args.csv, write_json=args.json)
 
 
 def main(argv=None):
@@ -509,14 +469,14 @@ def main(argv=None):
         print(exc, file=sys.stderr)
         return 1
     try:
-        report = execute(config)
-    except (UsageError, ValueError, FileNotFoundError) as exc:
+        summary = execute(config)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    for key, value in report.summary.items():
+    for key, value in summary.items():
         print(f"{key} = {value}")
     return 0
 

@@ -19,26 +19,31 @@ records round out the analysis tools.
 """
 
 import csv
+import math
 import warnings
 
 import numpy as np
-from scipy.stats import poisson
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
+def _copy_counts(n, m):
+    """(n, m) as ints, checked to be integers with M >= N >= 1."""
+    if int(n) != n or int(m) != m or not 1 <= n <= m:
+        raise ValueError(f"need integer M >= N >= 1, got ({n}, {m})")
+    return int(n), int(m)
+
+
 def fidelity_opt(n, m):
     """Optimal N-to-M copying fidelity (MN + M + N) / (M (N + 2))."""
-    if int(n) != n or int(m) != m:
-        raise ValueError(f"copy counts must be integers, got ({n}, {m})")
-    n, m = int(n), int(m)
-    if not 1 <= n <= m:
-        raise ValueError(f"need M >= N >= 1, got ({n}, {m})")
+    n, m = _copy_counts(n, m)
     return (m * n + m + n) / (m * (n + 2))
 
 
 def fidelity_classical(mu_in, mu_out, q):
     """Amplifier fidelity at mean intensities (mu_in, mu_out), quality q."""
+    if not all(map(math.isfinite, (mu_in, mu_out, q))):
+        raise ValueError(f"inputs must be finite, got ({mu_in}, {mu_out}, {q})")
     if mu_in <= 0.0 or mu_out <= 0.0:
         raise ValueError(f"intensities must be positive, got ({mu_in}, {mu_out})")
     if mu_in > mu_out:
@@ -55,9 +60,7 @@ def birth_process_exact(n, m):
     The chain starts at (n, 0) photons in (signal, orthogonal) modes and
     adds photons one at a time with weight n_k + 1 until m photons exist.
     """
-    if int(n) != n or int(m) != m or not 1 <= n <= m:
-        raise ValueError(f"need integer M >= N >= 1, got ({n}, {m})")
-    n, m = int(n), int(m)
+    n, m = _copy_counts(n, m)
     probs = {n: 1.0}  # n_signal -> probability, total photon count implicit
     for total in range(n, m):
         nxt = {}
@@ -73,9 +76,7 @@ def birth_process_mc(n, m, trials, seed=0):
     """Monte Carlo mean and standard error of the birth-chain fidelity."""
     if trials < 10 ** 4:
         raise ValueError(f"need at least 1e4 trials, got {trials}")
-    if int(n) != n or int(m) != m or not 1 <= n <= m:
-        raise ValueError(f"need integer M >= N >= 1, got ({n}, {m})")
-    n, m = int(n), int(m)
+    n, m = _copy_counts(n, m)
     rng = np.random.default_rng(seed)
     n_sig = np.full(trials, n, dtype=np.int64)
     for total in range(n, m):
@@ -97,11 +98,15 @@ def poisson_mixture_fidelity(mu_in, gain):
     """
     if not 0.0 < mu_in <= 50.0:
         raise ValueError(f"mu_in {mu_in} outside (0, 50]")
-    if gain < 1.0:
-        raise ValueError(f"gain {gain} below 1")
-    n_hi = int(poisson.ppf(1.0 - 1e-12, mu_in)) + 1
-    ns = np.arange(1, n_hi + 1)
-    weights = poisson.pmf(ns, mu_in)
+    if not 1.0 <= gain < math.inf:
+        raise ValueError(f"gain {gain} must be finite and >= 1")
+    # Poisson weights p_k = p_{k-1} mu / k, up to one term past the first
+    # k whose cumulative weight reaches 1 - 1e-12.
+    pmf = [math.exp(-mu_in)]
+    while sum(pmf[:-1]) < 1.0 - 1e-12:
+        pmf.append(pmf[-1] * mu_in / len(pmf))
+    ns = np.arange(1, len(pmf))
+    weights = np.array(pmf[1:])
     weights = weights / weights.sum()
     fids = np.array([
         fidelity_opt(n, max(n, int(np.floor(gain * n + 0.5)))) for n in ns])

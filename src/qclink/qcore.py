@@ -45,10 +45,6 @@ def dm(psi):
     return np.outer(psi, psi.conj())
 
 
-def dag(m):
-    return np.asarray(m).conj().T
-
-
 def is_hermitian(m, atol=HERM_ATOL):
     m = np.asarray(m)
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= atol

@@ -271,7 +271,7 @@ def threshold(kind, tol=1e-6, eve_measurement=HELSTROM_BINARY):
     """
     if kind not in THRESHOLD_KINDS:
         raise ValueError(f"kind must be one of {THRESHOLD_KINDS}, got {kind!r}")
-    if tol < 1e-6:
+    if not tol >= 1e-6:
         raise ValueError(f"tolerance {tol} below the supported 1e-6")
 
     if kind == "one_way":

@@ -29,11 +29,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 RESOLUTION_STEP = 1.0 / 20.0  # coarsest safe grid step, in units of t_c
 DEFAULT_STEP = 1.0 / 100.0
 DEFAULT_PAD = 6.0  # grid half-span beyond the accumulated delays, in t_c
+# Largest time grid default_time_grid builds: one CSV row per point in
+# `weak profile`, about 100 MB of rows in memory at this size.
+MAX_GRID_POINTS = 1_000_000
 
 
 def jones_linear(theta):
@@ -64,8 +66,9 @@ class PolarizedPulse:
     jones: np.ndarray
 
     def __post_init__(self):
-        if self.t_c <= 0.0:
-            raise ValueError(f"pulse width must be positive, got {self.t_c}")
+        if not 0.0 < self.t_c < math.inf:
+            raise ValueError(f"pulse width must be finite and positive, "
+                             f"got {self.t_c}")
         object.__setattr__(self, "jones", _unit_jones(self.jones))
 
 
@@ -75,6 +78,10 @@ class PmdElement:
 
     delta_tau: float
     axis: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.delta_tau):
+            raise ValueError(f"delay must be finite, got {self.delta_tau}")
 
     def slow_fast(self):
         s = np.array([np.cos(self.axis), np.sin(self.axis)])
@@ -90,7 +97,7 @@ class PdlElement:
     axis: float = 0.0
 
     def __post_init__(self):
-        if self.gamma_db < 0.0:
+        if not self.gamma_db >= 0.0:
             raise ValueError(f"attenuation must be >= 0 dB, got {self.gamma_db}")
 
     def amplitude_transmission(self):
@@ -191,6 +198,12 @@ def default_time_grid(field, step=None, span=None):
     if span is None:
         extent = np.max(np.abs(field.delays)) if field.delays.size else 0.0
         span = DEFAULT_PAD * t_c + extent
+    if not (0.0 < step < math.inf and 0.0 < span < math.inf):
+        raise ValueError(f"grid step {step} and span {span} must be finite "
+                         "and positive")
+    if span / step > (MAX_GRID_POINTS - 1) // 2:
+        raise ValueError(f"a grid of span {span} and step {step} exceeds "
+                         f"{MAX_GRID_POINTS} points")
     if step > RESOLUTION_STEP * t_c:
         warnings.warn(
             f"grid step {step} exceeds t_c/20 = {RESOLUTION_STEP * t_c}; "
@@ -199,14 +212,37 @@ def default_time_grid(field, step=None, span=None):
     return np.linspace(-half * step, half * step, 2 * half + 1)
 
 
+def _simpson(y, x):
+    """Composite Simpson integral of samples y on an increasing grid x.
+
+    Interval pairs use the three-point rule for unequal spacings; with an
+    even sample count the last interval gets Cartwright's correction.
+    """
+    if y.size < 3:
+        raise ValueError("Simpson's rule needs at least three samples")
+    h = np.diff(x)
+    m = (y.size - 1) // 2 * 2  # samples 0..m are covered by interval pairs
+    h0, h1 = h[0:m:2], h[1:m:2]
+    hsum, h0divh1 = h0 + h1, h0 / h1
+    total = np.sum(hsum / 6.0 * (y[0:m:2] * (2.0 - 1.0 / h0divh1)
+                                 + y[1:m:2] * (hsum * (hsum / (h0 * h1)))
+                                 + y[2:m + 1:2] * (2.0 - h0divh1)))
+    if m < y.size - 1:
+        a, b = h[-2], h[-1]
+        total += ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[-1]
+                  + (b ** 2 + 3.0 * a * b) / (6 * a) * y[-2]
+                  - b ** 3 / (6 * a * (a + b)) * y[-3])
+    return total
+
+
 def mean_toa_from_samples(t, intensity):
     """Composite-Simpson mean arrival time of a sampled intensity."""
     t = np.asarray(t, dtype=float)
     intensity = np.asarray(intensity, dtype=float)
-    total = simpson(intensity, x=t)
+    total = _simpson(intensity, t)
     if total <= 0.0:
         raise ValueError("no transmitted energy in the sampled profile")
-    return float(simpson(t * intensity, x=t) / total)
+    return float(_simpson(t * intensity, t) / total)
 
 
 def mean_toa_numeric(field, t=None):

@@ -16,6 +16,18 @@ def run_cli(args, tmp_path, name):
     return code, base.with_suffix(".csv"), base.with_suffix(".json")
 
 
+def write_config(tmp_path, values):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(values))
+    return str(path)
+
+
+def strict_json(path):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestParse:
     def test_sweep_flags(self):
         cfg = cli.parse(["qkd", "sweep", "--d-min", "0", "--d-max", "0.4",
@@ -57,6 +69,19 @@ class TestParse:
         with pytest.raises(cli.UsageError):
             cli.parse(["distill", "classical", "--config", str(cfg_path)])
 
+    def test_config_keys_normalised(self, tmp_path):
+        cfg = cli.parse(["qkd", "sweep", "--config", write_config(
+            tmp_path, {"n_max": 12, "--d_min": 0.1, "csv": False})])
+        assert cfg.params["n-max"] == 12
+        assert cfg.params["d-min"] == 0.1
+        assert cfg.write_csv is False
+
+    @pytest.mark.parametrize("values", [{"n": 2.7, "m": 5}, {"n": "x"}])
+    def test_config_values_parsed_like_flags(self, tmp_path, values):
+        with pytest.raises(cli.UsageError):
+            cli.parse(["clone", "fidelity", "--config",
+                       write_config(tmp_path, values)])
+
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
         cfg = cli.parse(["clone", "fidelity", "--n", "1", "--m", "2"])
@@ -84,6 +109,25 @@ class TestExitCodes:
         diag = json.loads(json_path.read_text())
         assert "error" in diag and "accepted" in diag["error"]
 
+    def test_rejected_run_clears_stale_outputs(self, tmp_path):
+        args = ["distill", "classical", "--d", "0.25", "--n", "4"]
+        code, csv_path, json_path = run_cli(args, tmp_path,
+                                            "distill-classical-0")
+        assert code == 0 and csv_path.exists()
+        config = write_config(tmp_path, {"d": 0.9})
+        code, _, _ = run_cli(["distill", "classical", "--config", config],
+                             tmp_path, "distill-classical-0")
+        assert code == 1
+        assert not csv_path.exists()
+        report = strict_json(json_path)
+        assert "--d" in report["error"] and "summary" not in report
+
+    def test_non_finite_input_is_one(self, tmp_path):
+        assert cli.main(["clone", "amplifier", "--mu-in", "nan", "--mu-out",
+                         "2", "--q", "1", "--outdir", str(tmp_path)]) == 1
+        assert cli.main(["weak", "profile", "--dtau", "1", "--step", "0",
+                         "--outdir", str(tmp_path)]) == 1
+
     def test_exit_codes_through_real_process(self, tmp_path):
         calls = {
             0: ["clone", "fidelity", "--n", "2", "--m", "3",
@@ -99,6 +143,30 @@ class TestExitCodes:
 
 
 class TestReports:
+    def test_reports_are_strict_json(self, tmp_path):
+        code, _, json_path = run_cli(
+            ["weak", "toa", "--dtau", "0.5", "--pdl-db", "inf"], tmp_path,
+            "weak-toa-0")
+        assert code == 0
+        report = strict_json(json_path)
+        assert report["config"]["params"]["pdl-db"] == "inf"
+        assert report["rows"][0][4] == "inf"
+
+    def test_failure_report_has_success_layout(self, tmp_path):
+        args = ["distill", "classical", "--trials", "10000"]
+        name = "distill-classical-0"
+        code, _, json_path = run_cli(args + ["--d", "0.2", "--n", "4"],
+                                     tmp_path, name)
+        assert code == 0
+        ok = strict_json(json_path)
+        code, _, _ = run_cli(args + ["--d", "0.499", "--n", "60"], tmp_path,
+                             name)
+        assert code == 2
+        failed = strict_json(json_path)
+        assert failed["config"].keys() == ok["config"].keys()
+        assert failed["config"]["params"]["d"] == 0.499
+        assert set(failed) - set(ok) == {"error"}
+
     def test_thresholds_summary_values(self, tmp_path):
         code, csv_path, json_path = run_cli(
             ["qkd", "thresholds"], tmp_path, "qkd-thresholds-0")
@@ -183,6 +251,27 @@ class TestReports:
         lines = csv_path.read_text().splitlines()
         assert lines[0].endswith(",ad_min_block")
         assert lines[1].endswith(",1")
+
+
+class TestRuntimeDependencies:
+    def test_cli_runs_without_scipy(self, tmp_path):
+        blocked = ("import runpy, sys; sys.modules['scipy'] = None; "
+                   "runpy.run_module('qclink', run_name='__main__')")
+        proc = subprocess.run(
+            [sys.executable, "-c", blocked, "clone", "fidelity", "--n", "1",
+             "--m", "2", "--outdir", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "clone-fidelity-0.csv").exists()
+
+    def test_import_loads_no_scipy(self):
+        probe = ("import sys, qclink; "
+                 "print(sorted(m for m in sys.modules if m == 'scipy' "
+                 "or m.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from qclink import cloning
 
@@ -75,6 +76,12 @@ class TestFidelityClassical:
         with pytest.raises(ValueError):
             cloning.fidelity_classical(1.0, 2.0, 1.5)
 
+    @pytest.mark.parametrize("args", [(np.nan, 2.0, 1.0), (1.0, np.nan, 1.0),
+                                      (1.0, np.inf, 0.5)])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValueError):
+            cloning.fidelity_classical(*args)
+
 
 class TestBirthProcess:
     def test_exact_small_cases(self):
@@ -136,6 +143,19 @@ class TestPoissonMixture:
             cloning.poisson_mixture_fidelity(60.0, 2.0)
         with pytest.raises(ValueError):
             cloning.poisson_mixture_fidelity(5.0, 0.5)
+        with pytest.raises(ValueError):
+            cloning.poisson_mixture_fidelity(5.0, np.inf)
+
+    @pytest.mark.parametrize("mu", [0.1, 1.0, 5.0, 17.3, 50.0])
+    @pytest.mark.parametrize("gain", [1.0, 2.5, 10.0])
+    def test_matches_scipy_weighted_formula(self, mu, gain):
+        ns = np.arange(1, int(poisson.ppf(1.0 - 1e-12, mu)) + 2)
+        weights = poisson.pmf(ns, mu)
+        fids = [cloning.fidelity_opt(n, max(n, int(np.floor(gain * n + 0.5))))
+                for n in ns]
+        expected = weights @ fids / weights.sum()
+        assert cloning.poisson_mixture_fidelity(mu, gain) == pytest.approx(
+            expected, rel=1e-13)
 
 
 MU_GRID = np.logspace(np.log10(0.5), np.log10(50.0), 50)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from qclink import distill, qcore, qkd
 
@@ -62,6 +63,11 @@ class TestAdExact:
             distill.ad_exact(dist, 0)
         with pytest.raises(ValueError):
             distill.ad_exact(dist, 65)
+
+    def test_log_factorial_table_matches_gammaln(self):
+        k = np.arange(distill.MAX_BLOCK + 1)
+        np.testing.assert_allclose(distill._LOG_FACTORIAL, gammaln(k + 1.0),
+                                   rtol=1e-14, atol=0.0)
 
 
 class TestAdMonteCarlo:

@@ -239,6 +239,8 @@ class TestThresholds:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             qkd.threshold("chsh", tol=1e-8)
+        with pytest.raises(ValueError):
+            qkd.threshold("chsh", tol=np.nan)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

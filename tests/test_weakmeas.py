@@ -39,6 +39,15 @@ class TestElements:
         with pytest.raises(ValueError):
             wm.PdlElement(-3.0)
 
+    @pytest.mark.parametrize("make, value", [
+        (wm.PmdElement, np.nan), (wm.PmdElement, np.inf),
+        (wm.PdlElement, np.nan),
+        (lambda v: wm.PolarizedPulse(v, [1, 0]), np.nan),
+        (lambda v: wm.PolarizedPulse(v, [1, 0]), np.inf)])
+    def test_non_finite_rejected(self, make, value):
+        with pytest.raises(ValueError):
+            make(value)
+
 
 class TestPropagate:
     def test_eigenmode_single_delayed_pulse(self):
@@ -158,6 +167,19 @@ class TestMeanToa:
         field = wm.propagate(pulse, [wm.PmdElement(0.5)])
         with pytest.warns(UserWarning):
             wm.mean_toa_numeric(field, np.linspace(-8, 8, 40))
+
+    @pytest.mark.parametrize("n", [3, 4, 101, 250])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_simpson_matches_scipy(self, n, uniform):
+        rng = np.random.default_rng(n)
+        x = (np.linspace(-4.0, 5.0, n) if uniform
+             else np.sort(rng.uniform(-4.0, 5.0, n)))
+        y = np.exp(-x ** 2 / 3.0) * (1.0 + rng.random(n))
+        assert wm._simpson(y, x) == pytest.approx(simpson(y, x=x), rel=1e-12)
+
+    def test_simpson_needs_three_samples(self):
+        with pytest.raises(ValueError):
+            wm._simpson(np.ones(2), np.arange(2.0))
 
     def test_arbitrary_sampled_envelope(self):
         """The numeric route works for non-Gaussian sampled profiles."""
@@ -285,6 +307,22 @@ class TestTransitionSweep:
         pulse = wm.PolarizedPulse(TC, pre)
         assert wm.mean_toa_closed(pulse, wm.PmdElement(0.0)) == 0.0
         assert wm.weak_value(pre, wm.PmdElement(0.0)) == 0.0
+
+    @pytest.mark.parametrize("step, span", [(0.0, None), (np.nan, None),
+                                            (np.inf, None), (0.01, -1.0),
+                                            (0.01, np.inf)])
+    def test_time_grid_rejects_bad_step_or_span(self, step, span):
+        field = wm.propagate(wm.PolarizedPulse(TC, [1, 0]), [])
+        with pytest.raises(ValueError):
+            wm.default_time_grid(field, step=step, span=span)
+
+    def test_time_grid_point_budget(self):
+        field = wm.propagate(wm.PolarizedPulse(100.0, [1, 0]), [])
+        half = (wm.MAX_GRID_POINTS - 1) // 2
+        assert wm.default_time_grid(field, step=1.0, span=half).size == \
+            2 * half + 1
+        with pytest.raises(ValueError):
+            wm.default_time_grid(field, step=1.0, span=half + 1)
 
     def test_grid_must_be_positive(self):
         with pytest.raises(ValueError):
