@@ -118,6 +118,8 @@ def _as_records(data):
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("dataset must be an (k, 3) array of "
                          "(mu_in, mu_out, fidelity) records")
+    if not np.isfinite(arr).all():
+        raise ValueError("intensities and fidelities must be finite")
     if np.any(arr[:, :2] <= 0.0):
         raise ValueError("intensities must be positive")
     if np.any((arr[:, 2] <= 0.0) | (arr[:, 2] > 1.0)):

@@ -38,13 +38,21 @@ DEFAULT_PAD = 6.0  # grid half-span beyond the accumulated delays, in t_c
 MAX_GRID_POINTS = 1_000_000
 
 
+def _check_angle(name, value):
+    if not math.isfinite(value):
+        raise ValueError(f"angle {name} must be finite, got {value}")
+
+
 def jones_linear(theta):
     """Unit Jones vector of linear polarization at angle theta."""
+    _check_angle("theta", theta)
     return np.array([np.cos(theta), np.sin(theta)], dtype=complex)
 
 
 def jones_elliptical(theta, phi):
     """Unit Jones vector (cos theta, e^{i phi} sin theta)."""
+    _check_angle("theta", theta)
+    _check_angle("phi", phi)
     return np.array([np.cos(theta), np.exp(1j * phi) * np.sin(theta)])
 
 
@@ -53,6 +61,8 @@ def _unit_jones(jones):
     if v.shape != (2,):
         raise ValueError(f"Jones vector must have two components, got {v.shape}")
     norm = np.linalg.norm(v)
+    if not math.isfinite(norm):
+        raise ValueError(f"Jones vector must be finite, got {v}")
     if norm < 1e-12:
         raise ValueError("Jones vector must be nonzero")
     return v / norm
@@ -82,6 +92,7 @@ class PmdElement:
     def __post_init__(self):
         if not math.isfinite(self.delta_tau):
             raise ValueError(f"delay must be finite, got {self.delta_tau}")
+        _check_angle("axis", self.axis)
 
     def slow_fast(self):
         s = np.array([np.cos(self.axis), np.sin(self.axis)])
@@ -99,6 +110,7 @@ class PdlElement:
     def __post_init__(self):
         if not self.gamma_db >= 0.0:
             raise ValueError(f"attenuation must be >= 0 dB, got {self.gamma_db}")
+        _check_angle("axis", self.axis)
 
     def amplitude_transmission(self):
         return 10.0 ** (-self.gamma_db / 20.0)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,31 @@ class TestExitCodes:
                          "2", "--q", "1", "--outdir", str(tmp_path)]) == 1
         assert cli.main(["weak", "profile", "--dtau", "1", "--step", "0",
                          "--outdir", str(tmp_path)]) == 1
+
+    def test_non_finite_record_is_one(self, tmp_path, capsys):
+        path = tmp_path / "rec.csv"
+        path.write_text("mu_in,mu_out,fidelity\n0.5,5,0.8\n2,20,0.7\n"
+                        "10,100,nan\n")
+        code, csv_path, _ = run_cli(["clone", "fit", "--input", str(path)],
+                                    tmp_path, "clone-fit-0")
+        assert code == 1 and not csv_path.exists()
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, name", [
+        (["weak", "sweep", "--pdl-axis", "nan"], "axis"),
+        (["weak", "toa", "--dtau", "0.5", "--theta-pre", "nan"], "theta")])
+    def test_non_finite_angle_is_one(self, tmp_path, capsys, args, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(args + ["--outdir", str(tmp_path)]) == 1
+        assert f"angle {name} must be finite" in capsys.readouterr().err
+
+    def test_monte_carlo_budget_is_one(self, tmp_path, capsys):
+        code, csv_path, _ = run_cli(
+            ["distill", "classical", "--d", "0.2", "--n", "64",
+             "--trials", "1000000000"], tmp_path, "distill-classical-0")
+        assert code == 1 and not csv_path.exists()
+        assert "budget" in capsys.readouterr().err
 
     def test_exit_codes_through_real_process(self, tmp_path):
         calls = {

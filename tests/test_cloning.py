@@ -188,6 +188,14 @@ class TestFitQ:
             q_hat, _ = cloning.fit_q(data)
         assert 0.0 <= q_hat <= 1.0
 
+    @pytest.mark.parametrize("col, value", [
+        (0, np.inf), (1, np.nan), (1, np.inf), (2, np.nan), (2, -np.inf)])
+    def test_non_finite_record_rejected(self, col, value):
+        data = cloning.generate_fidelity_dataset(0.8, [0.5, 2.0, 10.0])
+        data[1, col] = value
+        with pytest.raises(ValueError, match="finite"):
+            cloning.fit_q(data)
+
     def test_too_few_records(self):
         data = cloning.generate_fidelity_dataset(0.8, [1.0, 2.0])
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for advantage distillation and the pair-recurrence protocol."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -9,6 +11,64 @@ from qclink import distill, qcore, qkd
 
 def dist_at(d, eve=qkd.HELSTROM_BINARY):
     return qkd.symbol_distribution(qkd.AttackParams(d, eve_measurement=eve))
+
+
+@functools.cache
+def dense_count_vectors(n, k):
+    """All k-tuples of nonnegative integers summing to n, as an array."""
+    if k == 1:
+        return np.array([[n]], dtype=np.int64)
+    blocks = []
+    for first in range(n + 1):
+        rest = dense_count_vectors(n - first, k - 1)
+        blocks.append(np.hstack(
+            [np.full((len(rest), 1), first, dtype=np.int64), rest]))
+    return np.vstack(blocks)
+
+
+def dense_i_ae(dist, n):
+    """I(C; Eve's n symbols | accept) summed over every symbol-count
+    vector, with no support pruning: the oracle for distill's engine."""
+    eps = qkd.error_rate(dist)
+    p_acc = (1.0 - eps) ** n + eps ** n
+    pi_k = np.array([(1.0 - eps) ** n, eps ** n]) / p_acc
+    q, _ = distill._conditional_eve(dist)
+    counts = dense_count_vectors(n, q.shape[2])
+    log_multinom = distill._LOG_FACTORIAL[n] \
+        - distill._LOG_FACTORIAL[counts].sum(axis=1)
+    w = np.zeros((2, counts.shape[0]))
+    for c in (0, 1):
+        for k in (0, 1):
+            if pi_k[k] <= 0.0:
+                continue
+            qe = q[c, k]
+            ok = qe > 0.0
+            usable = (counts[:, ~ok] == 0).all(axis=1)
+            logs = counts[:, ok] @ np.log(qe[ok]) + log_multinom
+            w[c, usable] += pi_k[k] * np.exp(logs[usable])
+    tot = w.sum(axis=0)
+    mask = tot > 0.0
+    post0 = w[0, mask] / tot[mask]
+    return 1.0 - float((0.5 * tot[mask] * distill._h2_vec(post0)).sum())
+
+
+def dense_min_block(dist, n_max):
+    """Oracle for ad_min_block: a scan of the dense sums, one n at a time."""
+    return next((n for n in range(1, n_max + 1)
+                 if distill.ad_exact(dist, n).i_ab - dense_i_ae(dist, n)
+                 > distill.ADVANTAGE_EPS), None)
+
+
+def overlapping_supports():
+    """|E| = 4 table whose branches q[c, k] have the supports {0, 1, 2},
+    {1, 3}, {0, 2, 3} and {2, 3}. The first three are maximal, and each
+    pair of them overlaps."""
+    table = np.zeros((2, 2, 4))
+    table[0, 0] = 0.40 * np.array([0.5, 0.3, 0.2, 0.0])
+    table[0, 1] = 0.10 * np.array([0.0, 0.6, 0.0, 0.4])
+    table[1, 1] = 0.42 * np.array([0.25, 0.0, 0.25, 0.5])
+    table[1, 0] = 0.08 * np.array([0.0, 0.0, 0.7, 0.3])
+    return qkd.SymbolDistribution(table, eve_measurement=qkd.SQUARE_ROOT_4)
 
 
 class TestAdExact:
@@ -70,6 +130,79 @@ class TestAdExact:
                                    rtol=1e-14, atol=0.0)
 
 
+class TestBlockEngine:
+    """The support-pruned, batched engine against the dense oracle."""
+
+    @pytest.mark.parametrize("eve", qkd.EVE_MEASUREMENTS)
+    @pytest.mark.parametrize("d", np.linspace(0.0, 0.5, 26))
+    def test_matches_dense_oracle_for_every_block_size(self, d, eve):
+        dist = dist_at(d, eve)
+        batched = next(distill._block_profiles(
+            dist, [(1, distill.MAX_BLOCK)]))
+        for n in range(1, distill.MAX_BLOCK + 1):
+            oracle = dense_i_ae(dist, n)
+            for out in (distill.ad_exact(dist, n), batched[n - 1]):
+                assert out.block_size == n
+                assert out.i_ae == pytest.approx(oracle, abs=1e-14)
+                assert out.advantage == pytest.approx(
+                    out.i_ab - oracle, abs=1e-14)
+
+    @pytest.mark.parametrize("eve", qkd.EVE_MEASUREMENTS)
+    def test_min_block_matches_dense_scan(self, eve):
+        # 0.274157538 and 0.274157539 bracket the last D with a block
+        # n <= 64
+        grid = [0.0, 0.05, 0.12, 0.2, 0.25, 0.27, 0.2741, 0.274157538,
+                0.274157539, 0.2742, 0.28, 0.3, 0.5]
+        for d in grid:
+            dist = dist_at(d, eve)
+            for n_max in (1, 8, 30, 64):
+                assert distill.ad_min_block(dist, n_max) == \
+                    dense_min_block(dist, n_max), (d, n_max)
+
+    def test_min_block_reaches_every_size_up_to_30(self):
+        """Every block size 3..30 is the answer somewhere on this grid, so
+        a block size the batched scan skipped would show."""
+        found = set()
+        for d in np.linspace(0.2, 0.27415, 150):
+            dist = dist_at(d)
+            n = distill.ad_min_block(dist, 64)
+            assert n == dense_min_block(dist, 64), d
+            found.add(n)
+        assert found == set(range(3, 31))
+
+    def test_grid_straddles_the_n_max_64_boundary(self):
+        assert distill.ad_min_block(dist_at(0.274157538), 64) == 30
+        assert distill.ad_min_block(dist_at(0.274157539), 64) is None
+
+    def test_square_root_rows_are_pruned(self):
+        dist = dist_at(0.25, qkd.SQUARE_ROOT_4)
+        q, _ = distill._conditional_eve(dist)
+        supports = distill._branch_supports(q)
+        assert supports == ((0, 3), (1, 2))
+        counts = distill._count_rows(1, 64, 4, supports)[0]
+        # two 2-symbol supports, n + 1 vectors each, against 814 385
+        # vectors over all four symbols
+        assert counts.shape[0] == sum(2 * (n + 1) for n in range(1, 65))
+
+    def test_overlapping_supports_match_dense_oracle(self):
+        dist = overlapping_supports()
+        q, _ = distill._conditional_eve(dist)
+        supports = distill._branch_supports(q)
+        assert supports == ((0, 1, 2), (0, 2, 3), (1, 3))
+        counts = distill._count_rows(1, 64, 4, supports)[0]
+        assert len(np.unique(counts, axis=0)) == len(counts)
+        batched = next(distill._block_profiles(
+            dist, [(1, distill.MAX_BLOCK)]))
+        for n in range(1, distill.MAX_BLOCK + 1):
+            oracle = dense_i_ae(dist, n)
+            assert batched[n - 1].i_ae == pytest.approx(oracle, abs=1e-14)
+            assert distill.ad_exact(dist, n).i_ae == pytest.approx(
+                oracle, abs=1e-14)
+        for n_max in (1, 8, 30, 64):
+            assert distill.ad_min_block(dist, n_max) == \
+                dense_min_block(dist, n_max)
+
+
 class TestAdMonteCarlo:
     def test_agreement_with_exact(self):
         # 1e6 trials so the rare high-entropy blocks that dominate Eve's
@@ -109,6 +242,16 @@ class TestAdMonteCarlo:
     def test_trial_budget_validated(self):
         with pytest.raises(ValueError):
             distill.ad_monte_carlo(dist_at(0.2), 2, trials=100, seed=1)
+
+    def test_memory_budget_checked_before_sampling(self):
+        with pytest.raises(ValueError, match="budget"):
+            distill.ad_monte_carlo(dist_at(0.2), 64, trials=10 ** 9, seed=1)
+        trials = distill.MC_MAX_TRIAL_SYMBOLS // 8 + 1
+        with pytest.raises(ValueError, match="budget"):
+            distill.ad_monte_carlo(dist_at(0.2), 8, trials=trials, seed=1)
+
+    def test_budget_admits_the_largest_test_case(self):
+        assert 1_000_000 * 8 <= distill.MC_MAX_TRIAL_SYMBOLS
 
 
 class TestAdMinBlock:

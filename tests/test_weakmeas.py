@@ -48,6 +48,25 @@ class TestElements:
         with pytest.raises(ValueError):
             make(value)
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: wm.PmdElement(1.0, axis=v), "axis"),
+        (lambda v: wm.PdlElement(3.0, axis=v), "axis"),
+        (wm.analyzer, "axis"),
+        (wm.jones_linear, "theta"),
+        (lambda v: wm.jones_elliptical(v, 0.0), "theta"),
+        (lambda v: wm.jones_elliptical(0.3, v), "phi")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_rejected(self, make, name, value):
+        with pytest.raises(ValueError, match=f"angle {name} must be finite"):
+            make(value)
+
+    @pytest.mark.parametrize("jones", [[np.nan, 1.0], [1.0, np.inf]])
+    def test_non_finite_jones_vector_rejected(self, jones):
+        with pytest.raises(ValueError, match="finite"):
+            wm.PolarizedPulse(1.0, jones)
+        with pytest.raises(ValueError, match="finite"):
+            wm.weak_value(jones, wm.PmdElement(0.1), wm.analyzer(0.3))
+
 
 class TestPropagate:
     def test_eigenmode_single_delayed_pulse(self):
