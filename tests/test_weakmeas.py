@@ -1,5 +1,7 @@
 """Tests for pulse propagation, arrival-time statistics and weak values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -11,6 +13,29 @@ TC = 1.0
 
 def elliptical(rng):
     return wm.jones_elliptical(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
+
+
+def gram_moments(field):
+    """Energy and first time moment of a field from its terms x terms Gram
+    matrix of analytic Gaussian overlaps: the oracle for the trapezoid
+    grid behind PropagatedField.energy and mean_toa."""
+    d = field.delays
+    gram = np.real(field.amps.conj() @ field.amps.T)
+    overlap = np.sqrt(np.pi) * field.t_c * np.exp(
+        -((d[:, None] - d[None, :]) ** 2) / (4.0 * field.t_c ** 2))
+    centers = 0.5 * (d[:, None] + d[None, :])
+    return float((gram * overlap).sum()), float((gram * overlap * centers).sum())
+
+
+def random_chain(rng, t_c, sections):
+    """Random-axis delay sections of 0.01 to 316 t_c with up to three
+    loss elements of at most 30 dB, so at least 1e-9 of the energy passes."""
+    chain = [wm.PmdElement(t_c * 10.0 ** rng.uniform(-2.0, 2.5),
+                           rng.uniform(0, np.pi)) for _ in range(sections)]
+    for _ in range(rng.integers(0, 4)):
+        chain.insert(rng.integers(0, len(chain) + 1),
+                     wm.PdlElement(rng.uniform(0.0, 30.0), rng.uniform(0, np.pi)))
+    return chain
 
 
 class TestElements:
@@ -121,6 +146,53 @@ class TestPropagate:
             assert out.energy() <= np.sqrt(np.pi) * TC + 1e-12
 
 
+class TestTrapezoidMoments:
+    def test_matches_gram_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(240):
+            t_c = rng.uniform(0.2, 3.0)
+            pulse = wm.PolarizedPulse(t_c, elliptical(rng))
+            chain = random_chain(rng, t_c, rng.integers(1, 11))
+            field = wm.propagate(pulse, chain)
+            energy, first = gram_moments(field)
+            assert field.energy() == pytest.approx(energy, rel=1e-12)
+            assert field.mean_toa() == pytest.approx(
+                first / energy, rel=1e-12, abs=1e-12 * t_c)
+
+    def test_separated_clusters(self):
+        """Delays 1e6 t_c apart: one grid per cluster, none across the gap."""
+        pulse = wm.PolarizedPulse(TC, wm.jones_elliptical(0.7, 0.4))
+        chain = [wm.PmdElement(1e6), wm.PmdElement(40.0, 0.9),
+                 wm.PdlElement(12.0, 0.2), wm.PmdElement(0.3, 2.1)]
+        field = wm.propagate(pulse, chain)
+        gaps = np.diff(np.sort(field.delays))
+        assert np.sum(gaps > 2 * wm.QUAD_PAD * TC) == 3
+        energy, first = gram_moments(field)
+        assert field.energy() == pytest.approx(energy, rel=1e-12)
+        assert field.mean_toa() == pytest.approx(first / energy, rel=1e-12)
+
+    @pytest.mark.parametrize("sections", [16, 1])
+    def test_memory_bound(self, sections):
+        """65 536 terms (16 sections) and a 1e6 t_c split (1 section)
+        integrate within 50 MB."""
+        rng = np.random.default_rng(16)
+        pulse = wm.PolarizedPulse(TC, elliptical(rng))
+        chain = ([wm.PmdElement(rng.uniform(0.1, 0.6), rng.uniform(0, np.pi))
+                  for _ in range(sections)] if sections > 1
+                 else [wm.PmdElement(1e6, 0.4)])
+        field = wm.propagate(pulse, chain)
+        assert field.delays.size == 2 ** sections
+        tracemalloc.start()
+        try:
+            toa, energy = field.mean_toa(), field.energy()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2 ** 20
+        assert energy == pytest.approx(np.sqrt(np.pi) * TC, abs=1e-9)
+        assert abs(toa) <= np.abs(field.delays).max()
+
+
 class TestMeanToa:
     def test_eigenmode_shift(self):
         for dt in (0.01, 0.5, 5.0):
@@ -180,6 +252,20 @@ class TestMeanToa:
             blocked.mean_toa()
         with pytest.raises(ValueError):
             wm.mean_toa_numeric(blocked)
+
+    def test_blocked_by_round_off_raises(self):
+        """An analyzer orthogonal to the delay axis leaves amplitudes of
+        round-off size (energy about 2e-33); no route reports a time."""
+        pulse = wm.PolarizedPulse(TC, wm.jones_linear(0.3))
+        pmd, post = wm.PmdElement(0.5, 0.3), wm.analyzer(0.3 + np.pi / 2)
+        field = wm.propagate(pulse, [pmd, post])
+        assert 0.0 < field.energy() < 1e-30
+        with pytest.raises(ValueError, match="no transmitted energy"):
+            field.mean_toa()
+        with pytest.raises(ValueError, match="no transmitted energy"):
+            wm.mean_toa_numeric(field)
+        with pytest.raises(ValueError, match="no transmitted energy"):
+            wm.mean_toa_closed(pulse, pmd, post)
 
     def test_under_resolved_grid_warns(self):
         pulse = wm.PolarizedPulse(TC, wm.jones_linear(0.3))
