@@ -20,7 +20,8 @@ support is full. One vectorised pass covers a whole range of block
 sizes, and ad_min_block evaluates the ranges 1, 2-3, 4-7, 8-15, 16-31
 and 32-64 in turn, stopping at the first with positive advantage. The
 Monte Carlo harness refuses more than MC_MAX_TRIAL_SYMBOLS trial-symbols
-before it allocates anything.
+before it allocates anything, and draws the symbols MC_CHUNK_SYMBOLS at a
+time, so it holds one chunk plus 16 bytes per trial.
 
 Quantum route: the standard two-pair recurrence step at the fidelity
 level, F' = (F^2 + ((1-F)/3)^2) / (F^2 + 2F(1-F)/3 + 5((1-F)/3)^2),
@@ -42,9 +43,11 @@ MAX_BLOCK = 64
 # the true advantage at its first zero crossing is ~1e-10, so the cut must
 # sit between that scale and the ~1e-15 float noise of the entropy sums.
 ADVANTAGE_EPS = 1e-12
-# Largest trials * n that ad_monte_carlo accepts. Its arrays hold about
-# 50 bytes per trial-symbol, so one call stays near 0.5 GB.
+# Largest trials * n that ad_monte_carlo accepts: 1-3 s of sampling.
 MC_MAX_TRIAL_SYMBOLS = 10 ** 7
+# Trial-symbols ad_monte_carlo draws at a time: its (trials, n) int64
+# arrays hold about 50 bytes per trial-symbol, so a chunk takes ~3 MB.
+MC_CHUNK_SYMBOLS = 1 << 16
 # Block sizes that ad_min_block evaluates together, smallest first, so a
 # point that stops at a small block never pays for the large ones.
 _MIN_BLOCK_RANGES = ((1, 1), (2, 3), (4, 7), (8, 15), (16, 31),
@@ -238,7 +241,8 @@ def ad_monte_carlo(dist, n, trials, seed=0):
     Simulates the full protocol (random secret bit, random announcements)
     and estimates Eve's information from her exact per-block posterior,
     so the estimator is unbiased for the ad_exact quantities. Identical
-    (seed, trials) reproduce the outcome bit for bit.
+    (seed, trials) reproduce the outcome bit for bit, and the chunked draw
+    gives the outcome of one Generator.choice over all trials.
     """
     if trials < 10 ** 4:
         raise ValueError(f"need at least 1e4 trials, got {trials}")
@@ -248,44 +252,56 @@ def ad_monte_carlo(dist, n, trials, seed=0):
         raise ValueError(
             f"trials * n = {trials * n} exceeds the Monte Carlo budget of "
             f"{MC_MAX_TRIAL_SYMBOLS} trial-symbols")
-    rng = np.random.default_rng(seed)
     t = dist.table
     ne = t.shape[2]
-    flat = t.ravel()
-    idx = rng.choice(flat.size, size=(trials, n), p=flat)
-    e = idx % ne
-    b = (idx // ne) % 2
-    a = idx // (2 * ne)
-    c = rng.integers(0, 2, size=trials)
+    # The stream of Generator.choice(p=table) followed by integers(0, 2):
+    # one uniform double a symbol, inverted through the table's CDF, then
+    # the secret bits. The bits are drawn first from a copy of the bit
+    # generator advanced past all trials * n doubles, so the symbols can
+    # be drawn chunk by chunk.
+    cdf = t.ravel().cumsum()
+    cdf /= cdf[-1]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    c = np.random.Generator(np.random.PCG64(seed).advance(trials * n)) \
+        .integers(0, 2, size=trials)
+    with np.errstate(divide="ignore"):
+        logt = np.log(t)
+    chunk = max(MC_CHUNK_SYMBOLS // n, 1)
+    n_acc = n_wrong = 0
+    h_parts = []
+    for lo in range(0, trials, chunk):
+        idx = cdf.searchsorted(rng.random((min(chunk, trials - lo), n)),
+                               side="right")
+        e = idx % ne
+        b = (idx // ne) % 2
+        a = idx // (2 * ne)
+        err = a ^ b
+        accept = (err == err[:, :1]).all(axis=1)
+        n_acc += int(accept.sum())
+        n_wrong += int((accept & (err[:, 0] == 1)).sum())
 
-    err = a ^ b
-    accept = (err == err[:, :1]).all(axis=1)
-    n_acc = int(accept.sum())
+        # Eve's posterior for each accepted block from the known model.
+        m = (a ^ c[lo:lo + chunk, None])[accept]
+        e_acc = e[accept]
+        logw = np.empty((2, 2, m.shape[0]))
+        for c_hyp in (0, 1):
+            for k in (0, 1):
+                aa = m ^ c_hyp
+                bb = aa ^ k
+                logw[c_hyp, k] = logt[aa, bb, e_acc].sum(axis=1)
+        logw_c = np.logaddexp(logw[:, 0], logw[:, 1])
+        h_parts.append(_h2_vec(
+            np.exp(logw_c[0] - np.logaddexp(logw_c[0], logw_c[1]))))
     if n_acc == 0:
         raise RuntimeError(
             f"no accepted blocks in {trials} trials at block size {n}; "
             "reduce the block size or raise the trial budget")
-    wrong = accept & (err[:, 0] == 1)
 
     p_acc = n_acc / trials
     se_p_acc = np.sqrt(p_acc * (1.0 - p_acc) / trials)
-    eps_post = int(wrong.sum()) / n_acc
+    eps_post = n_wrong / n_acc
     se_eps_post = np.sqrt(eps_post * (1.0 - eps_post) / n_acc)
-
-    # Eve's posterior for each accepted block from the known model.
-    with np.errstate(divide="ignore"):
-        logt = np.log(t)
-    m = (a ^ c[:, None])[accept]
-    e_acc = e[accept]
-    logw = np.empty((2, 2, n_acc))
-    for c_hyp in (0, 1):
-        for k in (0, 1):
-            aa = m ^ c_hyp
-            bb = aa ^ k
-            logw[c_hyp, k] = logt[aa, bb, e_acc].sum(axis=1)
-    logw_c = np.logaddexp(logw[:, 0], logw[:, 1])
-    post0 = np.exp(logw_c[0] - np.logaddexp(logw_c[0], logw_c[1]))
-    h_vals = _h2_vec(post0)
+    h_vals = np.concatenate(h_parts)
     i_ae = 1.0 - float(h_vals.mean())
     se_i_ae = float(h_vals.std(ddof=1) / np.sqrt(n_acc)) if n_acc > 1 else 0.0
 

@@ -1,6 +1,7 @@
 """Tests for advantage distillation and the pair-recurrence protocol."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,7 +204,61 @@ class TestBlockEngine:
                 dense_min_block(dist, n_max)
 
 
+def one_shot_monte_carlo(dist, n, trials, seed):
+    """ad_monte_carlo's (accepted, wrong, mean and sample std of Eve's
+    block entropy) from one Generator.choice over all trials: the oracle
+    for the chunked draw."""
+    rng = np.random.default_rng(seed)
+    t = dist.table
+    ne = t.shape[2]
+    idx = rng.choice(t.size, size=(trials, n), p=t.ravel())
+    e, b, a = idx % ne, (idx // ne) % 2, idx // (2 * ne)
+    c = rng.integers(0, 2, size=trials)
+    err = a ^ b
+    accept = (err == err[:, :1]).all(axis=1)
+    with np.errstate(divide="ignore"):
+        logt = np.log(t)
+    m, e_acc = (a ^ c[:, None])[accept], e[accept]
+    logw = np.empty((2, 2, m.shape[0]))
+    for c_hyp in (0, 1):
+        for k in (0, 1):
+            logw[c_hyp, k] = logt[m ^ c_hyp, m ^ c_hyp ^ k, e_acc].sum(axis=1)
+    logw_c = np.logaddexp(logw[:, 0], logw[:, 1])
+    h = distill._h2_vec(np.exp(logw_c[0] - np.logaddexp(*logw_c)))
+    return (int(accept.sum()), int((accept & (err[:, 0] == 1)).sum()),
+            float(h.mean()), float(h.std(ddof=1)))
+
+
 class TestAdMonteCarlo:
+    @pytest.mark.parametrize("eve,d,n,trials", [
+        (qkd.HELSTROM_BINARY, 0.2, 1, 3 * distill.MC_CHUNK_SYMBOLS + 17),
+        (qkd.HELSTROM_BINARY, 0.12, 3, 50_001),
+        (qkd.HELSTROM_BINARY, 0.3, 8, 200_000),
+        (qkd.SQUARE_ROOT_4, 0.04, 48, 50_000),
+        (qkd.SQUARE_ROOT_4, 0.02, 64, 20_000)])
+    def test_chunked_draw_matches_one_shot(self, eve, d, n, trials):
+        assert trials * n > distill.MC_CHUNK_SYMBOLS  # spans several chunks
+        dist = dist_at(d, eve)
+        for seed in (0, 9):
+            mc = distill.ad_monte_carlo(dist, n, trials, seed=seed)
+            acc, wrong, h_mean, h_std = one_shot_monte_carlo(
+                dist, n, trials, seed)
+            assert mc.accepted == acc
+            assert mc.eps_post == wrong / acc
+            assert mc.i_ae == 1.0 - h_mean
+            assert mc.se_i_ae == h_std / np.sqrt(acc)
+
+    def test_memory_is_per_chunk(self):
+        # 4e6 trial-symbols: about 200 MB if the (trials, n) arrays were
+        # built at once; one chunk plus 16 B a trial is under 15 MB
+        tracemalloc.start()
+        try:
+            distill.ad_monte_carlo(dist_at(0.12), 8, trials=500_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
+
     def test_agreement_with_exact(self):
         # 1e6 trials so the rare high-entropy blocks that dominate Eve's
         # residual uncertainty at (d, n) = (0.3, 8) are actually sampled
