@@ -11,16 +11,12 @@ Run:  python demos/qkd_thresholds.py
 
 import numpy as np
 
-from qclink import qcore, qkd
+from qclink import distill, qkd
 
 print("D      I(A;B)   I(A;E)   CHSH    min PT eig  entangled")
-for d in np.arange(0.0, 0.41, 0.025):
-    dist = qkd.symbol_distribution(qkd.AttackParams(d))
-    rho = qkd.rho_ab(d)
-    entangled, lo = qcore.is_entangled(rho)
-    print(f"{d:5.3f}  {qkd.mutual_information(dist, 'ab'):7.4f}"
-          f"  {qkd.mutual_information(dist, 'ae'):7.4f}"
-          f"  {qcore.chsh_max(rho):6.4f}  {lo:+9.5f}   {entangled}")
+for r in distill.equivalence_sweep(np.arange(0.0, 0.41, 0.025), n_max=None):
+    print(f"{r.d:5.3f}  {r.i_ab:7.4f}  {r.i_ae:7.4f}  {r.chsh:6.4f}"
+          f"  {r.min_pt_eigenvalue:+9.5f}   {r.entangled}")
 
 print()
 print("Critical disturbances (bisection to 1e-6):")

@@ -21,10 +21,13 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, cloning, distill, qcore, qkd
+from . import __version__, cloning, distill, qkd
 from . import weakmeas as wm
 
 OUTDIR_ENV = "QCLINK_OUTDIR"
+# Scaled weak-end errors at or below this are round-off: with no loss
+# element the closed form equals the weak value and they read ~2e-17.
+SCALED_ERROR_FLOOR = 1e-14
 _REQUIRED = object()
 
 
@@ -73,6 +76,24 @@ def _d_grid(params):
     return np.linspace(d_min, d_max, steps)
 
 
+def _columns(sweep, fields):
+    """CSV header and rows of the chosen EquivalenceRow fields."""
+    return (["D" if f == "d" else f for f in fields],
+            [[getattr(r, f) for f in fields] for r in sweep])
+
+
+# Pulse flags of the weak commands, echoed in this order as CSV columns.
+_PULSE_FLAGS = {"tc": (float, 1.0), "theta-pre": (float, np.pi / 4),
+                "phi-pre": (float, 0.0), "pdl-db": (float, 0.0),
+                "pdl-axis": (float, 0.0)}
+_PULSE_COLUMNS = [name.replace("-", "_") for name in _PULSE_FLAGS]
+
+
+def _pulse(params):
+    return wm.PolarizedPulse(params["tc"], wm.jones_elliptical(
+        params["theta-pre"], params["phi-pre"]))
+
+
 def _post_element(params):
     return wm.PdlElement(params["pdl-db"], axis=params["pdl-axis"])
 
@@ -82,28 +103,14 @@ def cmd_qkd_sweep(params, seed):
     n_max = params["n-max"]
     if n_max is not None:
         n_max = _positive_int(n_max, "n-max", 1, distill.MAX_BLOCK)
-    basis = params["basis"]
-    columns = ["D", "i_ab", "i_ae", "chsh", "entangled",
-               "min_pt_eigenvalue", "singlet_fidelity"]
+    sweep = distill.equivalence_sweep(grid, n_max=n_max,
+                                      eve_measurement=params["eve"],
+                                      basis=params["basis"])
+    fields = ["d", "i_ab", "i_ae", "chsh", "entangled", "min_pt_eigenvalue",
+              "singlet_fidelity"]
     if n_max is not None:
-        columns.append("ad_min_block")
-    rows = []
-    for d in grid:
-        dist = qkd.symbol_distribution(
-            qkd.AttackParams(float(d), eve_measurement=params["eve"]), basis)
-        rho = qkd.rho_ab(float(d))
-        entangled, lo = qcore.is_entangled(rho)
-        row = [float(d),
-               qkd.mutual_information(dist, "ab"),
-               qkd.mutual_information(dist, "ae"),
-               qcore.chsh_max(rho),
-               entangled,
-               lo,
-               qcore.singlet_fidelity(rho)]
-        if n_max is not None:
-            row.append(distill.ad_min_block(dist, n_max=n_max))
-        rows.append(row)
-    return columns, rows, {"points": len(rows)}
+        fields.append("ad_min_block")
+    return *_columns(sweep, fields), {"points": len(sweep)}
 
 
 def cmd_qkd_thresholds(params, seed):
@@ -152,16 +159,15 @@ def cmd_distill_equivalence(params, seed):
     n_max = _positive_int(params["n-max"], "n-max", 1, distill.MAX_BLOCK)
     sweep = distill.equivalence_sweep(grid, n_max=n_max,
                                       eve_measurement=params["eve"])
-    rows = [[r.d, r.entangled, r.chsh, r.i_ab, r.i_ae, r.ad_min_block]
-            for r in sweep]
+    columns, rows = _columns(sweep, ["d", "entangled", "chsh", "i_ab", "i_ae",
+                                     "ad_min_block"])
     present = [r.d for r in sweep if r.ad_min_block is not None]
     absent = [r.d for r in sweep if r.ad_min_block is None]
     summary = {"ad_present_max_d": max(present) if present else None,
                "ad_absent_min_d": min(absent) if absent else None}
     if present and absent and max(present) < min(absent):
         summary["ad_threshold_estimate"] = 0.5 * (max(present) + min(absent))
-    return (["D", "entangled", "chsh", "i_ab", "i_ae", "ad_min_block"],
-            rows, summary)
+    return columns, rows, summary
 
 
 def cmd_clone_fidelity(params, seed):
@@ -210,18 +216,16 @@ def cmd_clone_fit(params, seed):
 
 
 def cmd_weak_toa(params, seed):
-    t_c = params["tc"]
-    pulse = wm.PolarizedPulse(t_c, wm.jones_elliptical(params["theta-pre"],
-                                                       params["phi-pre"]))
+    pulse = _pulse(params)
     pmd = wm.PmdElement(params["dtau"])
     post = _post_element(params)
     closed = wm.mean_toa_closed(pulse, pmd, post)
     numeric = wm.mean_toa_numeric(wm.propagate(pulse, [pmd, post]))
     weak = wm.weak_value(pulse, pmd, post)
-    rows = [[params["dtau"], t_c, params["theta-pre"], params["phi-pre"],
-             params["pdl-db"], params["pdl-axis"], closed, numeric, weak]]
-    return (["dtau", "tc", "theta_pre", "phi_pre", "pdl_db", "pdl_axis",
-             "toa_closed", "toa_numeric", "toa_weak"], rows,
+    rows = [[params["dtau"], *(params[k] for k in _PULSE_FLAGS), closed,
+             numeric, weak]]
+    return (["dtau", *_PULSE_COLUMNS, "toa_closed", "toa_numeric",
+             "toa_weak"], rows,
             {"toa_closed": closed, "toa_numeric": numeric, "toa_weak": weak})
 
 
@@ -233,30 +237,28 @@ def cmd_weak_sweep(params, seed):
         raise ValueError("parameters --ratio-min/--ratio-max must satisfy "
                          "0 < min < max")
     ratios = np.geomspace(lo, hi, points)
-    post = _post_element(params)
-    pre = wm.jones_elliptical(params["theta-pre"], params["phi-pre"])
-    sweep = wm.toa_transition_sweep(pre, post, ratios * t_c, t_c)
-    rows = [[r.delta_tau, r.t_c, params["theta-pre"], params["phi-pre"],
-             params["pdl-db"], params["pdl-axis"], r.toa_exact, r.toa_weak,
-             r.abs_error] for r in sweep]
-    weak_part = [r for r in sweep if r.ratio <= 0.1]
+    sweep = wm.toa_transition_sweep(_pulse(params), _post_element(params),
+                                    ratios * t_c, t_c)
+    rows = [[r.delta_tau, *(params[k] for k in _PULSE_FLAGS), r.toa_exact,
+             r.toa_weak, r.abs_error] for r in sweep]
+    # The slope is fitted to the weak-end errors above round-off only.
+    weak_end = [(r.ratio, r.abs_error / (r.delta_tau / 2)) for r in sweep
+                if r.ratio <= 0.1]
+    weak_end = [p for p in weak_end if p[1] > SCALED_ERROR_FLOOR]
+    slope = None
+    if len(weak_end) >= 3:
+        log_ratio, log_scaled = np.log(weak_end).T
+        slope = float(np.polyfit(log_ratio, log_scaled, 1)[0])
     summary = {"strong_end_discrimination_error":
-               sweep[-1].discrimination_error}
-    if len(weak_part) >= 3:
-        scaled = [r.abs_error / (r.delta_tau / 2) for r in weak_part]
-        slope = np.polyfit(np.log([r.ratio for r in weak_part]),
-                           np.log(scaled), 1)[0]
-        summary["weak_end_scaled_error_slope"] = float(slope)
-    return (["dtau", "tc", "theta_pre", "phi_pre", "pdl_db", "pdl_axis",
-             "toa_exact", "toa_weak", "abs_error"], rows, summary)
+               sweep[-1].discrimination_error,
+               "weak_end_scaled_error_slope": slope}
+    return (["dtau", *_PULSE_COLUMNS, "toa_exact", "toa_weak", "abs_error"],
+            rows, summary)
 
 
 def cmd_weak_profile(params, seed):
-    t_c = params["tc"]
-    pulse = wm.PolarizedPulse(t_c, wm.jones_elliptical(params["theta-pre"],
-                                                       params["phi-pre"]))
-    field = wm.propagate(pulse, [wm.PmdElement(params["dtau"]),
-                                 _post_element(params)])
+    field = wm.propagate(_pulse(params), [wm.PmdElement(params["dtau"]),
+                                          _post_element(params)])
     t = wm.default_time_grid(field, step=params["step"], span=params["span"])
     profile = field.intensity(t)
     rows = [[float(ti), float(ix), float(iy), float(ix + iy)]
@@ -301,18 +303,12 @@ COMMANDS = {
         "mu-in": (float, _REQUIRED), "gain": (float, 10.0)}),
     ("clone", "fit"): (cmd_clone_fit, {"input": (str, _REQUIRED)}),
     ("weak", "toa"): (cmd_weak_toa, {
-        "dtau": (float, _REQUIRED), "tc": (float, 1.0),
-        "theta-pre": (float, np.pi / 4), "phi-pre": (float, 0.0),
-        "pdl-db": (float, 0.0), "pdl-axis": (float, 0.0)}),
+        "dtau": (float, _REQUIRED), **_PULSE_FLAGS}),
     ("weak", "sweep"): (cmd_weak_sweep, {
         "ratio-min": (float, 1e-3), "ratio-max": (float, 10.0),
-        "points": (int, 25), "tc": (float, 1.0),
-        "theta-pre": (float, np.pi / 4), "phi-pre": (float, 0.0),
-        "pdl-db": (float, 0.0), "pdl-axis": (float, 0.0)}),
+        "points": (int, 25), **_PULSE_FLAGS}),
     ("weak", "profile"): (cmd_weak_profile, {
-        "dtau": (float, _REQUIRED), "tc": (float, 1.0),
-        "theta-pre": (float, np.pi / 4), "phi-pre": (float, 0.0),
-        "pdl-db": (float, 0.0), "pdl-axis": (float, 0.0),
+        "dtau": (float, _REQUIRED), **_PULSE_FLAGS,
         "step": (float, None), "span": (float, None)}),
 }
 

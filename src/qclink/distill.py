@@ -5,8 +5,8 @@ distribution P(A, B, E). The sender draws a secret bit c, announces
 (x_1 xor c, ..., x_N xor c); the receiver accepts the block iff his
 deXORed values are constant and guesses that constant. Exact block
 statistics are evaluated by summing over Eve's symbol counts
-(exchangeability), with a full sequence enumeration and a Monte Carlo
-harness as cross checks. Eve's block information is computed with the
+(exchangeability), with a Monte Carlo harness of the full protocol as a
+cross check. Eve's block information is computed with the
 announcement fixed to the all-zero pattern, which is lossless for the
 bit-flip-symmetric attack family.
 
@@ -93,18 +93,15 @@ class RecurrenceTrace:
 
 
 def _conditional_eve(dist):
-    """q[c, k, e] = P(e | a=c, b=c^k) and the branch weights P(a=c, b=c^k)."""
+    """q[c, k, e] = P(e | a=c, b=c^k), zero on branches of probability 0."""
     t = dist.table
-    ne = t.shape[2]
-    q = np.zeros((2, 2, ne))
-    w = np.zeros((2, 2))
+    q = np.zeros_like(t)
     for c in (0, 1):
         for k in (0, 1):
             pab = t[c, c ^ k].sum()
-            w[c, k] = pab
             if pab > 0.0:
                 q[c, k] = t[c, c ^ k] / pab
-    return q, w
+    return q
 
 
 def _branch_supports(q):
@@ -167,7 +164,7 @@ def _block_profiles(dist, ranges):
     if dist.num_eve_symbols > 4:
         raise ValueError("at most four Eve symbols are supported")
     eps = error_rate(dist)
-    q, _ = _conditional_eve(dist)
+    q = _conditional_eve(dist)
     supports = _branch_supports(q)
     branches = [(c, k, q[c, k] > 0.0) for c in (0, 1) for k in (0, 1)]
     for lo, hi in ranges:
@@ -209,30 +206,6 @@ def ad_exact(dist, n):
     if not 1 <= n <= MAX_BLOCK:
         raise ValueError(f"block size {n} outside [1, {MAX_BLOCK}]")
     return next(_block_profiles(dist, [(n, n)]))[0]
-
-
-def ad_enumerate(dist, n):
-    """Brute-force oracle for ad_exact over all |E|^n Eve sequences."""
-    if not 1 <= n <= 8:
-        raise ValueError("full enumeration is limited to n <= 8")
-    eps = error_rate(dist)
-    p_acc = (1.0 - eps) ** n + eps ** n
-    eps_post = eps ** n / p_acc
-    pi_k = np.array([(1.0 - eps) ** n, eps ** n]) / p_acc
-    q, _ = _conditional_eve(dist)
-    ne = q.shape[2]
-    h_cond = 0.0
-    for seq in np.ndindex(*([ne] * n)):
-        w = np.zeros(2)
-        for c in (0, 1):
-            for k in (0, 1):
-                w[c] += pi_k[k] * np.prod([q[c, k, e] for e in seq])
-        tot = w.sum()
-        if tot > 0.0:
-            h_cond += 0.5 * tot * binary_entropy(w[0] / tot)
-    i_ae = 1.0 - h_cond
-    return AdOutcome(n, float(p_acc), float(eps_post),
-                     1.0 - binary_entropy(eps_post), i_ae)
 
 
 def ad_monte_carlo(dist, n, trials, seed=0):
@@ -397,26 +370,33 @@ class EquivalenceRow:
 
     d: float
     entangled: bool
+    min_pt_eigenvalue: float
     chsh: float
+    singlet_fidelity: float
     i_ab: float
     i_ae: float
     ad_min_block: int | None
 
 
-def equivalence_sweep(d_grid, n_max=30, eve_measurement=HELSTROM_BINARY):
-    """Per-disturbance table of entanglement, CHSH value, one-copy
-    informations and the smallest distillable block size."""
+def equivalence_sweep(d_grid, n_max=30, eve_measurement=HELSTROM_BINARY,
+                      basis="z"):
+    """Per-disturbance table of the pair state's entanglement, CHSH value
+    and singlet fidelity, the one-copy informations in the given basis and
+    the smallest distillable block size. n_max=None skips the block scan
+    and leaves ad_min_block None."""
     rows = []
     for d in np.asarray(d_grid, dtype=float):
+        d = float(d)
         dist = symbol_distribution(
-            AttackParams(float(d), eve_measurement=eve_measurement))
-        rho = rho_ab(float(d))
-        entangled, _ = qcore.is_entangled(rho)
+            AttackParams(d, eve_measurement=eve_measurement), basis)
+        rho = rho_ab(d)
+        entangled, lo = qcore.is_entangled(rho)
         rows.append(EquivalenceRow(
-            d=float(d),
-            entangled=entangled,
+            d=d, entangled=entangled, min_pt_eigenvalue=lo,
             chsh=qcore.chsh_max(rho),
+            singlet_fidelity=qcore.singlet_fidelity(rho),
             i_ab=mutual_information(dist, "ab"),
             i_ae=mutual_information(dist, "ae"),
-            ad_min_block=ad_min_block(dist, n_max=n_max)))
+            ad_min_block=None if n_max is None
+            else ad_min_block(dist, n_max=n_max)))
     return rows

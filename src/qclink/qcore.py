@@ -1,5 +1,5 @@
-"""Two-qubit state toolbox: tensor algebra, partial trace/transpose,
-entanglement (PPT) and maximal CHSH value, standard state constructors.
+"""Two-qubit state toolbox: partial transpose, entanglement (PPT) and
+maximal CHSH value, standard state constructors.
 
 States are plain numpy arrays: kets as complex vectors, density matrices
 as complex square matrices. Validators raise ValueError when an input
@@ -12,7 +12,6 @@ import numpy as np
 TRACE_ATOL = 1e-10
 HERM_ATOL = 1e-10
 EIG_ATOL = 1e-10
-NORM_ATOL = 1e-12
 WEIGHT_ATOL = 1e-12
 
 ID2 = np.eye(2, dtype=complex)
@@ -34,11 +33,6 @@ PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 BELL_BASIS = (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS)
 
 
-def tensor(a, b):
-    """Kronecker product of two kets or two operators."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def dm(psi):
     """Density matrix |psi><psi| of a ket."""
     psi = np.asarray(psi, dtype=complex)
@@ -48,17 +42,6 @@ def dm(psi):
 def is_hermitian(m, atol=HERM_ATOL):
     m = np.asarray(m)
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= atol
-
-
-def check_pure_state(psi, atol=NORM_ATOL):
-    """Validate a ket (norm 1 within atol) and return it as a complex array."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1:
-        raise ValueError("pure state must be a 1-d amplitude vector")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > atol:
-        raise ValueError(f"state norm {norm!r} is not 1 within {atol}")
-    return psi
 
 
 def check_density_matrix(rho):
@@ -94,22 +77,6 @@ def eig_hermitian(m):
         raise ValueError("input is not Hermitian within 1e-10")
     vals, vecs = np.linalg.eigh(m)
     return vals, vecs
-
-
-def partial_trace(rho, keep="A"):
-    """Trace out one qubit of a two-qubit operator.
-
-    keep="A" returns the first-factor state, keep="B" the second.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"partial trace needs a 4x4 matrix, got {rho.shape}")
-    r = rho.reshape(2, 2, 2, 2)  # indices (a, b, a', b')
-    if keep in ("A", 0):
-        return np.einsum("abcb->ac", r)
-    if keep in ("B", 1):
-        return np.einsum("abac->bc", r)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def partial_transpose(rho):

@@ -95,15 +95,6 @@ def attack_state(params):
     return psi
 
 
-def trace_out_eve(psi_abe):
-    """Pair state of the two partners, Tr_E |Psi><Psi|."""
-    psi = np.asarray(psi_abe, dtype=complex)
-    if psi.shape != (16,):
-        raise ValueError(f"expected 16 amplitudes, got shape {psi.shape}")
-    m = psi.reshape(4, 4)
-    return m @ m.conj().T
-
-
 def rho_ab(d):
     """Pair state seen by the partners at disturbance d."""
     return qcore.bell_diagonal(bell_weights(d))
@@ -271,8 +262,8 @@ def threshold(kind, tol=1e-6, eve_measurement=HELSTROM_BINARY):
     """
     if kind not in THRESHOLD_KINDS:
         raise ValueError(f"kind must be one of {THRESHOLD_KINDS}, got {kind!r}")
-    if not tol >= 1e-6:
-        raise ValueError(f"tolerance {tol} below the supported 1e-6")
+    if not 1e-6 <= tol < 0.5:
+        raise ValueError(f"tolerance {tol} outside the supported [1e-6, 0.5)")
 
     if kind == "one_way":
         def f(d):

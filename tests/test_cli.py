@@ -147,6 +147,13 @@ class TestExitCodes:
             assert cli.main(args + ["--outdir", str(tmp_path)]) == 1
         assert f"angle {name} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0.5"])
+    def test_threshold_tolerance_is_one(self, tmp_path, capsys, tol):
+        code, csv_path, _ = run_cli(["qkd", "thresholds", "--tol", tol],
+                                    tmp_path, "qkd-thresholds-0")
+        assert code == 1 and not csv_path.exists()
+        assert "tolerance" in capsys.readouterr().err
+
     def test_monte_carlo_budget_is_one(self, tmp_path, capsys):
         code, csv_path, _ = run_cli(
             ["distill", "classical", "--d", "0.2", "--n", "64",
@@ -248,6 +255,15 @@ class TestReports:
         assert report["summary"]["weak_end_scaled_error_slope"] == \
             pytest.approx(2.0, abs=0.1)
 
+    def test_weak_sweep_slope_null_at_round_off(self, tmp_path):
+        """With no loss element the closed form equals the weak value, so
+        the weak-end errors are round-off and no slope is fitted."""
+        code, _, json_path = run_cli(["weak", "sweep", "--points", "25"],
+                                     tmp_path, "weak-sweep-0")
+        assert code == 0
+        summary = strict_json(json_path)["summary"]
+        assert summary["weak_end_scaled_error_slope"] is None
+
     def test_weak_toa_routes_agree(self, tmp_path):
         code, _, json_path = run_cli(
             ["weak", "toa", "--dtau", "0.05", "--pdl-db", "15",
@@ -277,6 +293,25 @@ class TestReports:
         lines = csv_path.read_text().splitlines()
         assert lines[0].endswith(",ad_min_block")
         assert lines[1].endswith(",1")
+
+    def test_sweep_commands_share_cells(self, tmp_path):
+        grid = ["--d-min", "0.1", "--d-max", "0.34", "--steps", "7",
+                "--n-max", "12", "--eve", "square_root_4"]
+        tables = []
+        for args, name in ((["qkd", "sweep"], "qkd-sweep-0"),
+                           (["distill", "equivalence"],
+                            "distill-equivalence-0")):
+            code, csv_path, _ = run_cli(args + grid, tmp_path, name)
+            assert code == 0
+            header, *rows = [ln.split(",") for ln in
+                             csv_path.read_text().splitlines()]
+            tables.append([dict(zip(header, row)) for row in rows])
+        shared = ["D", "entangled", "chsh", "i_ab", "i_ae", "ad_min_block"]
+        qkd_rows, distill_rows = tables
+        assert len(qkd_rows) == len(distill_rows) == 7
+        assert [[r[c] for c in shared] for r in qkd_rows] == \
+            [[r[c] for c in shared] for r in distill_rows]
+        assert {r["ad_min_block"] for r in qkd_rows} > {""}
 
 
 class TestRuntimeDependencies:

@@ -33,7 +33,7 @@ def dense_i_ae(dist, n):
     eps = qkd.error_rate(dist)
     p_acc = (1.0 - eps) ** n + eps ** n
     pi_k = np.array([(1.0 - eps) ** n, eps ** n]) / p_acc
-    q, _ = distill._conditional_eve(dist)
+    q = distill._conditional_eve(dist)
     counts = dense_count_vectors(n, q.shape[2])
     log_multinom = distill._LOG_FACTORIAL[n] \
         - distill._LOG_FACTORIAL[counts].sum(axis=1)
@@ -51,6 +51,27 @@ def dense_i_ae(dist, n):
     mask = tot > 0.0
     post0 = w[0, mask] / tot[mask]
     return 1.0 - float((0.5 * tot[mask] * distill._h2_vec(post0)).sum())
+
+
+def enumerated_outcome(dist, n):
+    """Block statistics summed over all |E|^n of Eve's symbol sequences,
+    one sequence at a time: the oracle for the count sums."""
+    eps = qkd.error_rate(dist)
+    p_acc = (1.0 - eps) ** n + eps ** n
+    eps_post = eps ** n / p_acc
+    pi_k = np.array([(1.0 - eps) ** n, eps ** n]) / p_acc
+    q = distill._conditional_eve(dist)
+    h_cond = 0.0
+    for seq in np.ndindex(*([q.shape[2]] * n)):
+        w = np.zeros(2)
+        for c in (0, 1):
+            for k in (0, 1):
+                w[c] += pi_k[k] * np.prod([q[c, k, e] for e in seq])
+        tot = w.sum()
+        if tot > 0.0:
+            h_cond += 0.5 * tot * qkd.binary_entropy(w[0] / tot)
+    return distill.AdOutcome(n, float(p_acc), float(eps_post),
+                             1.0 - qkd.binary_entropy(eps_post), 1.0 - h_cond)
 
 
 def dense_min_block(dist, n_max):
@@ -101,7 +122,7 @@ class TestAdExact:
         dist = dist_at(d, eve)
         for n in (1, 2, 3, 4):
             fast = distill.ad_exact(dist, n)
-            slow = distill.ad_enumerate(dist, n)
+            slow = enumerated_outcome(dist, n)
             assert fast.i_ae == pytest.approx(slow.i_ae, abs=1e-12)
             assert fast.p_accept == pytest.approx(slow.p_accept, abs=1e-12)
             assert fast.eps_post == pytest.approx(slow.eps_post, abs=1e-12)
@@ -177,7 +198,7 @@ class TestBlockEngine:
 
     def test_square_root_rows_are_pruned(self):
         dist = dist_at(0.25, qkd.SQUARE_ROOT_4)
-        q, _ = distill._conditional_eve(dist)
+        q = distill._conditional_eve(dist)
         supports = distill._branch_supports(q)
         assert supports == ((0, 3), (1, 2))
         counts = distill._count_rows(1, 64, 4, supports)[0]
@@ -187,7 +208,7 @@ class TestBlockEngine:
 
     def test_overlapping_supports_match_dense_oracle(self):
         dist = overlapping_supports()
-        q, _ = distill._conditional_eve(dist)
+        q = distill._conditional_eve(dist)
         supports = distill._branch_supports(q)
         assert supports == ((0, 1, 2), (0, 2, 3), (1, 3))
         counts = distill._count_rows(1, 64, 4, supports)[0]
@@ -418,3 +439,23 @@ class TestEquivalenceSweep:
     def test_boundary_row(self):
         row = distill.equivalence_sweep([1 - 1 / np.sqrt(2)], n_max=4)[0]
         assert abs(qcore.is_entangled(qkd.rho_ab(row.d))[1]) <= 1e-9
+
+    @pytest.mark.parametrize("basis", qkd.BASES)
+    def test_pair_state_columns(self, basis):
+        for row in distill.equivalence_sweep([0.0, 0.1, 0.3], n_max=None,
+                                             eve_measurement=qkd.SQUARE_ROOT_4,
+                                             basis=basis):
+            rho = qkd.rho_ab(row.d)
+            assert row.min_pt_eigenvalue == qcore.is_entangled(rho)[1]
+            assert row.singlet_fidelity == pytest.approx(
+                (1 - row.d) ** 2, abs=1e-12)
+            dist = qkd.symbol_distribution(
+                qkd.AttackParams(row.d, qkd.SQUARE_ROOT_4), basis)
+            assert row.i_ae == qkd.mutual_information(dist, "ae")
+
+    def test_no_block_scan_without_n_max(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ad_min_block called")
+        monkeypatch.setattr(distill, "ad_min_block", refuse)
+        rows = distill.equivalence_sweep([0.1, 0.25, 0.35], n_max=None)
+        assert [r.ad_min_block for r in rows] == [None] * 3

@@ -22,21 +22,21 @@ def random_density_matrix(rng, dim):
 class TestTensor:
     def test_basis_product(self):
         np.testing.assert_allclose(
-            qcore.tensor(qcore.KET_0, qcore.KET_0), [1, 0, 0, 0])
+            np.kron(qcore.KET_0, qcore.KET_0), [1, 0, 0, 0])
 
     def test_identity_product(self):
-        np.testing.assert_allclose(qcore.tensor(qcore.ID2, qcore.ID2), np.eye(4))
+        np.testing.assert_allclose(np.kron(qcore.ID2, qcore.ID2), np.eye(4))
 
     def test_pair_state_amplitudes(self):
         """The target pair state has amplitudes (1, 0, 0, 1)/sqrt(2)."""
-        built = (qcore.tensor(qcore.KET_0, qcore.KET_0)
-                 + qcore.tensor(qcore.KET_1, qcore.KET_1)) / np.sqrt(2)
+        built = (np.kron(qcore.KET_0, qcore.KET_0)
+                 + np.kron(qcore.KET_1, qcore.KET_1)) / np.sqrt(2)
         np.testing.assert_allclose(built, qcore.PHI_PLUS, atol=1e-15)
 
     def test_same_state_in_both_bases(self):
         """Phi+ expands with a plus sign in the x basis as well."""
-        in_x = (qcore.tensor(qcore.KET_PLUS, qcore.KET_PLUS)
-                + qcore.tensor(qcore.KET_MINUS, qcore.KET_MINUS)) / np.sqrt(2)
+        in_x = (np.kron(qcore.KET_PLUS, qcore.KET_PLUS)
+                + np.kron(qcore.KET_MINUS, qcore.KET_MINUS)) / np.sqrt(2)
         np.testing.assert_allclose(in_x, qcore.PHI_PLUS, atol=1e-15)
 
 
@@ -49,7 +49,7 @@ class TestMeasurementCorrelations:
         probs = np.zeros((2, 2))
         for a, ka in enumerate(kets):
             for b, kb in enumerate(kets):
-                amp = qcore.tensor(ka, kb).conj() @ qcore.PHI_PLUS
+                amp = np.kron(ka, kb).conj() @ qcore.PHI_PLUS
                 probs[a, b] = abs(amp) ** 2
         assert probs[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert probs[1, 1] == pytest.approx(0.5, abs=1e-12)
@@ -58,34 +58,18 @@ class TestMeasurementCorrelations:
 
 class TestPartialTrace:
     def test_maximally_entangled_reduces_to_identity(self):
-        np.testing.assert_allclose(
-            qcore.partial_trace(qcore.dm(qcore.PHI_PLUS), "B"),
-            np.eye(2) / 2, atol=1e-12)
-
-    def test_product_state_recovers_factor(self):
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            rho = random_density_matrix(rng, 2)
-            sig = random_density_matrix(rng, 2)
-            prod = qcore.tensor(rho, sig)
-            np.testing.assert_allclose(qcore.partial_trace(prod, "A"), rho,
-                                       atol=1e-12)
-            np.testing.assert_allclose(qcore.partial_trace(prod, "B"), sig,
-                                       atol=1e-12)
+        r = qcore.dm(qcore.PHI_PLUS).reshape(2, 2, 2, 2)  # (a, b, a', b')
+        np.testing.assert_allclose(np.einsum("abcb->ac", r), np.eye(2) / 2,
+                                   atol=1e-12)
 
     def test_werner_reduces_to_identity(self):
-        # independent route: explicit index sum over the 4x4 matrix
+        # trace out the second qubit by an explicit index sum
         rho = qcore.werner(0.7)
         r = np.zeros((2, 2), dtype=complex)
         for a in range(2):
             for c in range(2):
                 r[a, c] = sum(rho[2 * a + b, 2 * c + b] for b in range(2))
         np.testing.assert_allclose(r, np.eye(2) / 2, atol=1e-12)
-        np.testing.assert_allclose(qcore.partial_trace(rho, "A"), r, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            qcore.partial_trace(np.eye(2))
 
 
 def _reference_partial_transpose(rho):
@@ -102,8 +86,8 @@ class TestEntanglement:
     def test_product_state_is_ppt(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
-            prod = qcore.tensor(random_density_matrix(rng, 2),
-                                random_density_matrix(rng, 2))
+            prod = np.kron(random_density_matrix(rng, 2),
+                           random_density_matrix(rng, 2))
             flag, lo = qcore.is_entangled(prod)
             assert not flag
             assert lo >= -1e-9
@@ -148,7 +132,7 @@ class TestChsh:
         rho = qcore.bell_diagonal([0.6, 0.1, 0.2, 0.1])
         base = qcore.chsh_max(rho)
         for _ in range(8):
-            u = qcore.tensor(random_local_unitary(rng), random_local_unitary(rng))
+            u = np.kron(random_local_unitary(rng), random_local_unitary(rng))
             rotated = u @ rho @ u.conj().T
             assert qcore.chsh_max(rotated) == pytest.approx(base, abs=1e-8)
 
@@ -201,10 +185,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             qcore.check_density_matrix(bad)
 
-    def test_pure_state_norm(self):
-        with pytest.raises(ValueError):
-            qcore.check_pure_state([1.0, 1.0])
-
 
 class TestEigHermitian:
     def test_identity(self):
@@ -230,15 +210,3 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             qcore.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_partial_trace_of_tensor_is_exact():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        psi /= np.linalg.norm(psi)
-        chi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        chi /= np.linalg.norm(chi)
-        prod = qcore.dm(qcore.tensor(psi, chi))
-        np.testing.assert_allclose(qcore.partial_trace(prod, "A"),
-                                   qcore.dm(psi), atol=1e-12)

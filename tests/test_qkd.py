@@ -11,24 +11,31 @@ from qclink import qcore, qkd
 ROOT2 = np.sqrt(2.0)
 
 
+def trace_out_eve(psi_abe):
+    """Pair state of the two partners, Tr_E |Psi><Psi|, with Eve's
+    register as the fastest index of the 16 amplitudes."""
+    m = np.asarray(psi_abe, dtype=complex).reshape(4, 4)
+    return m @ m.conj().T
+
+
 class TestAttackState:
     def test_no_attack_is_pure_pair(self):
         psi = qkd.attack_state(qkd.AttackParams(0.0))
-        rho = qkd.trace_out_eve(psi)
+        rho = trace_out_eve(psi)
         assert qcore.singlet_fidelity(rho) == pytest.approx(1.0, abs=1e-12)
         # purity of the pair state
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
     def test_half_disturbance_is_maximally_mixed(self):
         np.testing.assert_allclose(qkd.bell_weights(0.5), [0.25] * 4, atol=1e-15)
-        rho = qkd.trace_out_eve(qkd.attack_state(qkd.AttackParams(0.5)))
+        rho = trace_out_eve(qkd.attack_state(qkd.AttackParams(0.5)))
         np.testing.assert_allclose(rho, np.eye(4) / 4, atol=1e-12)
 
     @pytest.mark.parametrize("d", np.linspace(0.0, 0.5, 101))
     def test_norm_and_partial_trace(self, d):
         psi = qkd.attack_state(qkd.AttackParams(d))
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(qkd.trace_out_eve(psi),
+        np.testing.assert_allclose(trace_out_eve(psi),
                                    qcore.bell_diagonal(qkd.bell_weights(d)),
                                    atol=1e-10)
 
@@ -241,6 +248,10 @@ class TestThresholds:
             qkd.threshold("chsh", tol=1e-8)
         with pytest.raises(ValueError):
             qkd.threshold("chsh", tol=np.nan)
+        # A tol of 0.5 or more would return the midpoint 0.25 unsearched.
+        for tol in (np.inf, 0.5, 1.0):
+            with pytest.raises(ValueError):
+                qkd.threshold("entanglement", tol=tol)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
