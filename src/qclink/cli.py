@@ -8,7 +8,9 @@ in the JSON report). Exit codes: 0 success, 1 usage or validation error,
 CSV of the same name and records the error in the JSON report.
 
 A flat JSON config file can supply any flag (keys are flag names
-without the leading dashes); explicit command-line flags win.
+without the leading dashes); explicit command-line flags win. A flag
+whose spec carries an interval is range-checked before its command
+runs; the library checks the rest.
 """
 
 import argparse
@@ -23,12 +25,17 @@ import numpy as np
 
 from . import __version__, cloning, distill, qkd
 from . import weakmeas as wm
+from ._checks import check as _check
 
 OUTDIR_ENV = "QCLINK_OUTDIR"
 # Scaled weak-end errors at or below this are round-off: with no loss
 # element the closed form equals the weak value and they read ~2e-17.
 SCALED_ERROR_FLOOR = 1e-14
 _REQUIRED = object()
+_D_RANGE = (0.0, 0.5)
+_BLOCKS = (1, distill.MAX_BLOCK)
+_STEPS = (1, 100_000)
+_POSITIVE = (math.ulp(0.0), sys.float_info.max)
 
 
 class UsageError(Exception):
@@ -52,28 +59,10 @@ class RunConfig:
     write_json: bool
 
 
-def _positive_int(value, name, lo=1, hi=None):
-    if int(value) != value or value < lo or (hi is not None and value > hi):
-        bound = f"[{lo}, {hi}]" if hi is not None else f">= {lo}"
-        raise ValueError(f"parameter --{name} must be an integer {bound}, "
-                         f"got {value}")
-    return int(value)
-
-
-def _in_range(value, name, lo, hi):
-    if not lo <= value <= hi:
-        raise ValueError(f"parameter --{name} must lie in [{lo}, {hi}], "
-                         f"got {value}")
-    return float(value)
-
-
 def _d_grid(params):
-    d_min = _in_range(params["d-min"], "d-min", 0.0, 0.5)
-    d_max = _in_range(params["d-max"], "d-max", 0.0, 0.5)
-    steps = _positive_int(params["steps"], "steps", 1, 100_000)
-    if d_max < d_min:
+    if params["d-max"] < params["d-min"]:
         raise ValueError("parameter --d-max must not be below --d-min")
-    return np.linspace(d_min, d_max, steps)
+    return np.linspace(params["d-min"], params["d-max"], params["steps"])
 
 
 def _columns(sweep, fields):
@@ -99,11 +88,8 @@ def _post_element(params):
 
 
 def cmd_qkd_sweep(params, seed):
-    grid = _d_grid(params)
     n_max = params["n-max"]
-    if n_max is not None:
-        n_max = _positive_int(n_max, "n-max", 1, distill.MAX_BLOCK)
-    sweep = distill.equivalence_sweep(grid, n_max=n_max,
+    sweep = distill.equivalence_sweep(_d_grid(params), n_max=n_max,
                                       eve_measurement=params["eve"],
                                       basis=params["basis"])
     fields = ["d", "i_ab", "i_ae", "chsh", "entangled", "min_pt_eigenvalue",
@@ -125,11 +111,9 @@ def cmd_qkd_thresholds(params, seed):
 
 
 def cmd_distill_classical(params, seed):
-    d = _in_range(params["d"], "d", 0.0, 0.5)
-    n = _positive_int(params["n"], "n", 1, distill.MAX_BLOCK)
-    trials = _positive_int(params["trials"], "trials", 0, 10 ** 9)
+    n, trials = params["n"], params["trials"]
     dist = qkd.symbol_distribution(
-        qkd.AttackParams(d, eve_measurement=params["eve"]))
+        qkd.AttackParams(params["d"], eve_measurement=params["eve"]))
     columns = ["mode", "block_size", "p_accept", "eps_post", "i_ab", "i_ae",
                "advantage", "se_p_accept", "se_eps_post", "se_i_ae"]
     ex = distill.ad_exact(dist, n)
@@ -146,18 +130,16 @@ def cmd_distill_classical(params, seed):
 
 
 def cmd_distill_quantum(params, seed):
-    f0 = _in_range(params["f0"], "f0", 0.0, 1.0)
-    rounds = _positive_int(params["rounds"], "rounds", 1, 10 ** 4)
-    trace = distill.recurrence_iterate(f0, rounds)
+    f0 = params["f0"]
+    trace = distill.recurrence_iterate(f0, params["rounds"])
     rows = [[i + 1, f, p] for i, (f, p) in enumerate(trace.steps)]
     summary = {"f0": f0, "final_fidelity": trace.steps[-1][0]}
     return ["round", "fidelity", "success_probability"], rows, summary
 
 
 def cmd_distill_equivalence(params, seed):
-    grid = _d_grid(params)
-    n_max = _positive_int(params["n-max"], "n-max", 1, distill.MAX_BLOCK)
-    sweep = distill.equivalence_sweep(grid, n_max=n_max,
+    sweep = distill.equivalence_sweep(_d_grid(params),
+                                      n_max=params["n-max"],
                                       eve_measurement=params["eve"])
     columns, rows = _columns(sweep, ["d", "entangled", "chsh", "i_ab", "i_ae",
                                      "ad_min_block"])
@@ -185,8 +167,7 @@ def cmd_clone_amplifier(params, seed):
 
 
 def cmd_clone_mc(params, seed):
-    n, m = params["n"], params["m"]
-    trials = _positive_int(params["trials"], "trials", 10 ** 4, 10 ** 9)
+    n, m, trials = params["n"], params["m"], params["trials"]
     mean, se = cloning.birth_process_mc(n, m, trials=trials, seed=seed)
     exact = cloning.birth_process_exact(n, m)
     formula = cloning.fidelity_opt(n, m)
@@ -232,11 +213,10 @@ def cmd_weak_toa(params, seed):
 def cmd_weak_sweep(params, seed):
     t_c = params["tc"]
     lo, hi = params["ratio-min"], params["ratio-max"]
-    points = _positive_int(params["points"], "points", 2, 10 ** 5)
-    if not 0 < lo < hi:
+    if not lo < hi:
         raise ValueError("parameters --ratio-min/--ratio-max must satisfy "
-                         "0 < min < max")
-    ratios = np.geomspace(lo, hi, points)
+                         "min < max")
+    ratios = np.geomspace(lo, hi, params["points"])
     sweep = wm.toa_transition_sweep(_pulse(params), _post_element(params),
                                     ratios * t_c, t_c)
     rows = [[r.delta_tau, *(params[k] for k in _PULSE_FLAGS), r.toa_exact,
@@ -276,21 +256,26 @@ def cmd_weak_profile(params, seed):
 
 EVE_CHOICES = list(qkd.EVE_MEASUREMENTS)
 
+# Flag name -> (type or choices, default[, closed interval of its values]).
 COMMANDS = {
     ("qkd", "sweep"): (cmd_qkd_sweep, {
-        "d-min": (float, 0.0), "d-max": (float, 0.4), "steps": (int, 41),
+        "d-min": (float, 0.0, _D_RANGE), "d-max": (float, 0.4, _D_RANGE),
+        "steps": (int, 41, _STEPS),
         "eve": (EVE_CHOICES, qkd.HELSTROM_BINARY), "basis": (["z", "x"], "z"),
-        "n-max": (int, None)}),
+        "n-max": (int, None, _BLOCKS)}),
     ("qkd", "thresholds"): (cmd_qkd_thresholds, {
         "tol": (float, 1e-6), "eve": (EVE_CHOICES, qkd.HELSTROM_BINARY)}),
     ("distill", "classical"): (cmd_distill_classical, {
-        "d": (float, _REQUIRED), "n": (int, 8),
-        "eve": (EVE_CHOICES, qkd.HELSTROM_BINARY), "trials": (int, 0)}),
+        "d": (float, _REQUIRED, _D_RANGE), "n": (int, 8, _BLOCKS),
+        "eve": (EVE_CHOICES, qkd.HELSTROM_BINARY),
+        "trials": (int, 0, (0, 10 ** 9))}),
     ("distill", "quantum"): (cmd_distill_quantum, {
-        "f0": (float, _REQUIRED), "rounds": (int, 10)}),
+        "f0": (float, _REQUIRED, (0.0, 1.0)),
+        "rounds": (int, 10, (1, 10 ** 4))}),
     ("distill", "equivalence"): (cmd_distill_equivalence, {
-        "d-min": (float, 0.2), "d-max": (float, 0.36), "steps": (int, 33),
-        "n-max": (int, 30), "eve": (EVE_CHOICES, qkd.HELSTROM_BINARY)}),
+        "d-min": (float, 0.2, _D_RANGE), "d-max": (float, 0.36, _D_RANGE),
+        "steps": (int, 33, _STEPS), "n-max": (int, 30, _BLOCKS),
+        "eve": (EVE_CHOICES, qkd.HELSTROM_BINARY)}),
     ("clone", "fidelity"): (cmd_clone_fidelity, {
         "n": (int, _REQUIRED), "m": (int, _REQUIRED)}),
     ("clone", "amplifier"): (cmd_clone_amplifier, {
@@ -298,15 +283,16 @@ COMMANDS = {
         "q": (float, _REQUIRED)}),
     ("clone", "mc"): (cmd_clone_mc, {
         "n": (int, _REQUIRED), "m": (int, _REQUIRED),
-        "trials": (int, 100_000)}),
+        "trials": (int, 100_000, (10 ** 4, cloning.BIRTH_MAX_TRIALS))}),
     ("clone", "mixture"): (cmd_clone_mixture, {
         "mu-in": (float, _REQUIRED), "gain": (float, 10.0)}),
     ("clone", "fit"): (cmd_clone_fit, {"input": (str, _REQUIRED)}),
     ("weak", "toa"): (cmd_weak_toa, {
         "dtau": (float, _REQUIRED), **_PULSE_FLAGS}),
     ("weak", "sweep"): (cmd_weak_sweep, {
-        "ratio-min": (float, 1e-3), "ratio-max": (float, 10.0),
-        "points": (int, 25), **_PULSE_FLAGS}),
+        "ratio-min": (float, 1e-3, _POSITIVE),
+        "ratio-max": (float, 10.0, _POSITIVE),
+        "points": (int, 25, (2, 10 ** 5)), **_PULSE_FLAGS}),
     ("weak", "profile"): (cmd_weak_profile, {
         "dtau": (float, _REQUIRED), **_PULSE_FLAGS,
         "step": (float, None), "span": (float, None)}),
@@ -338,7 +324,7 @@ def _build_parser():
                                                 required=True,
                                                 parser_class=_Parser)
         leaf = by_group[group].add_parser(sub, parents=[common])
-        for name, (kind, default) in spec.items():
+        for name, (kind, default, *_) in spec.items():
             if isinstance(kind, list):
                 leaf.add_argument(f"--{name}", choices=kind, default=default)
             else:
@@ -413,11 +399,15 @@ def _write_report(config, path, **outcome):
 
 def execute(config):
     """Run one command and write its report files. Returns the summary."""
-    handler, _ = COMMANDS[tuple(config.command.split("-", 1))]
+    handler, spec = COMMANDS[tuple(config.command.split("-", 1))]
     os.makedirs(config.outdir, exist_ok=True)
     base = os.path.join(config.outdir, f"{config.command}-{config.seed}")
     csv_path, json_path = base + ".csv", base + ".json"
     try:
+        for name, (kind, _, *interval) in spec.items():
+            if interval and config.params[name] is not None:
+                _check(f"--{name}", config.params[name], *interval[0],
+                       integer=kind is int)
         columns, rows, summary = handler(config.params, config.seed)
     except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         if os.path.exists(csv_path):
@@ -450,9 +440,10 @@ def parse(argv):
     for name, value in params.items():
         if value is _REQUIRED:
             raise UsageError(f"missing required parameter --{name}")
-    if not 0 <= args.seed < 2 ** 64:
-        raise UsageError(
-            f"seed must be a 64-bit unsigned integer, got {args.seed}")
+    try:
+        _check("--seed", args.seed, 0, 2 ** 64 - 1, integer=True)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return RunConfig(command=f"{args.group}-{args.subcommand}",
                      params=params, seed=args.seed, outdir=args.outdir,
                      write_csv=args.csv, write_json=args.json)

@@ -15,7 +15,8 @@ The gain process itself is simulated as a birth chain: each new photon
 joins mode k with probability proportional to n_k + 1, the stimulated
 plus spontaneous emission weights. A Poisson mixture over input photon
 number and a least-squares recovery of Q from fidelity-vs-intensity
-records round out the analysis tools.
+records round out the analysis tools. The Monte Carlo birth chain holds
+about 34 bytes per trial and refuses more than BIRTH_MAX_TRIALS trials.
 """
 
 import csv
@@ -24,14 +25,17 @@ import warnings
 
 import numpy as np
 
+from ._checks import check as _check
+
+# Largest trial count birth_process_mc accepts: about 0.34 GB of samples.
+BIRTH_MAX_TRIALS = 10 ** 7
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def _copy_counts(n, m):
     """(n, m) as ints, checked to be integers with M >= N >= 1."""
-    if int(n) != n or int(m) != m or not 1 <= n <= m:
-        raise ValueError(f"need integer M >= N >= 1, got ({n}, {m})")
-    return int(n), int(m)
+    n = _check("N", n, 1, math.inf, integer=True)
+    return n, _check("M", m, n, math.inf, integer=True)
 
 
 def fidelity_opt(n, m):
@@ -42,14 +46,9 @@ def fidelity_opt(n, m):
 
 def fidelity_classical(mu_in, mu_out, q):
     """Amplifier fidelity at mean intensities (mu_in, mu_out), quality q."""
-    if not all(map(math.isfinite, (mu_in, mu_out, q))):
-        raise ValueError(f"inputs must be finite, got ({mu_in}, {mu_out}, {q})")
-    if mu_in <= 0.0 or mu_out <= 0.0:
-        raise ValueError(f"intensities must be positive, got ({mu_in}, {mu_out})")
-    if mu_in > mu_out:
-        raise ValueError(f"mu_in {mu_in} exceeds mu_out {mu_out}")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quality {q} outside [0, 1]")
+    _check("mu_in", mu_in, math.ulp(0.0))
+    _check("mu_out", mu_out, mu_in)  # mu_out >= mu_in > 0
+    _check("quality", q, 0.0, 1.0)
     core = q * mu_out * mu_in
     return (core + mu_out + mu_in) / (core + 2.0 * mu_out)
 
@@ -74,8 +73,7 @@ def birth_process_exact(n, m):
 
 def birth_process_mc(n, m, trials, seed=0):
     """Monte Carlo mean and standard error of the birth-chain fidelity."""
-    if trials < 10 ** 4:
-        raise ValueError(f"need at least 1e4 trials, got {trials}")
+    trials = _check("trials", trials, 10 ** 4, BIRTH_MAX_TRIALS, integer=True)
     n, m = _copy_counts(n, m)
     rng = np.random.default_rng(seed)
     n_sig = np.full(trials, n, dtype=np.int64)
@@ -96,10 +94,8 @@ def poisson_mixture_fidelity(mu_in, gain):
     diagnostic value to compare against the amplifier formula; no
     identity between the two is implied.
     """
-    if not 0.0 < mu_in <= 50.0:
-        raise ValueError(f"mu_in {mu_in} outside (0, 50]")
-    if not 1.0 <= gain < math.inf:
-        raise ValueError(f"gain {gain} must be finite and >= 1")
+    _check("mu_in", mu_in, math.ulp(0.0), 50.0)
+    _check("gain", gain, 1.0)
     # Poisson weights p_k = p_{k-1} mu / k, up to one term past the first
     # k whose cumulative weight reaches 1 - 1e-12.
     pmf = [math.exp(-mu_in)]
@@ -136,8 +132,7 @@ def fit_q(data):
     as degenerate with a warning but still fitted.
     """
     arr = _as_records(data)
-    if arr.shape[0] < 3:
-        raise ValueError(f"need at least 3 records, got {arr.shape[0]}")
+    _check("record count", arr.shape[0], 3, math.inf, integer=True)
     if np.unique(arr[:, 0]).size == 1:
         warnings.warn("all records share one mu_in; the fit is degenerate",
                       stacklevel=2)
@@ -188,16 +183,6 @@ def generate_fidelity_dataset(q, mu_in, gain=10.0, noise_sigma=0.0, seed=0):
 
 
 CSV_HEADER = ("mu_in", "mu_out", "fidelity")
-
-
-def save_fidelity_csv(path, data):
-    """Write records as CSV with header mu_in,mu_out,fidelity."""
-    arr = _as_records(data)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in arr:
-            writer.writerow([repr(float(v)) for v in row])
 
 
 def load_fidelity_csv(path):

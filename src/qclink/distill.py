@@ -30,11 +30,13 @@ CNOT protocol on Bell-diagonal inputs.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qcore
+from ._checks import check as _check
 from .qkd import (HELSTROM_BINARY, AttackParams, binary_entropy, error_rate,
                   mutual_information, rho_ab, symbol_distribution)
 
@@ -161,8 +163,6 @@ def _block_profiles(dist, ranges):
     """Exact AdOutcomes of the block sizes lo..hi for each (lo, hi) in
     ranges, yielded as one list per range and computed in one pass over
     the count vectors inside the branch supports."""
-    if dist.num_eve_symbols > 4:
-        raise ValueError("at most four Eve symbols are supported")
     eps = error_rate(dist)
     q = _conditional_eve(dist)
     supports = _branch_supports(q)
@@ -203,8 +203,7 @@ def ad_exact(dist, n):
     probability and post-acceptance error have the closed forms
     (1-eps)^n + eps^n and eps^n / p_accept with eps = P(a != b).
     """
-    if not 1 <= n <= MAX_BLOCK:
-        raise ValueError(f"block size {n} outside [1, {MAX_BLOCK}]")
+    n = _check("block size", n, 1, MAX_BLOCK, integer=True)
     return next(_block_profiles(dist, [(n, n)]))[0]
 
 
@@ -217,10 +216,8 @@ def ad_monte_carlo(dist, n, trials, seed=0):
     (seed, trials) reproduce the outcome bit for bit, and the chunked draw
     gives the outcome of one Generator.choice over all trials.
     """
-    if trials < 10 ** 4:
-        raise ValueError(f"need at least 1e4 trials, got {trials}")
-    if not 1 <= n <= MAX_BLOCK:
-        raise ValueError(f"block size {n} outside [1, {MAX_BLOCK}]")
+    n = _check("block size", n, 1, MAX_BLOCK, integer=True)
+    trials = _check("trials", trials, 10 ** 4, math.inf, integer=True)
     if trials * n > MC_MAX_TRIAL_SYMBOLS:
         raise ValueError(
             f"trials * n = {trials * n} exceeds the Monte Carlo budget of "
@@ -287,8 +284,7 @@ def ad_monte_carlo(dist, n, trials, seed=0):
 
 def ad_min_block(dist, n_max=30):
     """Smallest block size with positive advantage, or None."""
-    if not 1 <= n_max <= MAX_BLOCK:
-        raise ValueError(f"n_max {n_max} outside [1, {MAX_BLOCK}]")
+    n_max = _check("n_max", n_max, 1, MAX_BLOCK, integer=True)
     ranges = [(lo, min(hi, n_max)) for lo, hi in _MIN_BLOCK_RANGES
               if lo <= n_max]
     for outs in _block_profiles(dist, ranges):
@@ -304,8 +300,7 @@ def recurrence_step(f):
     Returns (new_fidelity, success_probability); the fixed points are
     1/2 and 1, and any F > 1/2 is strictly improved.
     """
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"fidelity {f} outside [0, 1]")
+    _check("fidelity", f, 0.0, 1.0)
     r = (1.0 - f) / 3.0
     num = f * f + r * r
     den = f * f + 2.0 * f * r + 5.0 * r * r
@@ -314,8 +309,8 @@ def recurrence_step(f):
 
 def recurrence_iterate(f0, rounds):
     """Iterate recurrence_step, recording each round."""
-    if rounds < 0:
-        raise ValueError("rounds must be nonnegative")
+    _check("fidelity", f0, 0.0, 1.0)
+    rounds = _check("rounds", rounds, 0, math.inf, integer=True)
     steps = []
     f = f0
     for _ in range(rounds):

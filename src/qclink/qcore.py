@@ -8,13 +8,14 @@ breaks the contract of the operation that asked for it.
 
 import numpy as np
 
+from ._checks import check as _check
+
 # Validation tolerances.
 TRACE_ATOL = 1e-10
 HERM_ATOL = 1e-10
 EIG_ATOL = 1e-10
 WEIGHT_ATOL = 1e-12
 
-ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -149,8 +150,7 @@ def bell_diagonal(weights):
 
 def werner(p):
     """p |Phi+><Phi+| + (1-p) I/4 for p in [0, 1]; entangled iff p > 1/3."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"werner parameter {p} outside [0, 1]")
+    _check("werner parameter", p, 0.0, 1.0)
     return p * dm(PHI_PLUS) + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
 
 

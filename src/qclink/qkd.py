@@ -12,11 +12,13 @@ and the critical disturbances for one-way key extraction, CHSH violation
 and entanglement.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qcore
+from ._checks import check as _check
 
 HELSTROM_BINARY = "helstrom_binary"
 SQUARE_ROOT_4 = "square_root_4"
@@ -37,9 +39,7 @@ class AttackParams:
     eve_measurement: str = HELSTROM_BINARY
 
     def __post_init__(self):
-        if not 0.0 <= self.disturbance <= 0.5:
-            raise ValueError(
-                f"disturbance {self.disturbance} outside [0, 0.5]")
+        _check("disturbance", self.disturbance, 0.0, 0.5)
         if self.eve_measurement not in EVE_MEASUREMENTS:
             raise ValueError(
                 f"unknown eve_measurement {self.eve_measurement!r}; "
@@ -75,8 +75,7 @@ class SymbolDistribution:
 
 def bell_weights(d):
     """Bell-basis weights ((1-D)^2, D(1-D), D(1-D), D^2) of the pair state."""
-    if not 0.0 <= d <= 0.5:
-        raise ValueError(f"disturbance {d} outside [0, 0.5]")
+    _check("disturbance", d, 0.0, 0.5)
     return np.array([(1 - d) ** 2, d * (1 - d), d * (1 - d), d ** 2])
 
 
@@ -124,8 +123,7 @@ def helstrom(rho0, rho1, prior0=0.5):
     probability equals (1 + ||prior0 rho0 - prior1 rho1||_1) / 2 at
     equal-dimension inputs.
     """
-    if not 0.0 <= prior0 <= 1.0:
-        raise ValueError(f"prior {prior0} outside [0, 1]")
+    _check("prior", prior0, 0.0, 1.0)
     rho0 = np.asarray(rho0, dtype=complex)
     rho1 = np.asarray(rho1, dtype=complex)
     if rho0.shape != rho1.shape:
@@ -222,9 +220,7 @@ def error_rate(dist):
 
 def binary_entropy(p):
     """h2(p) in bits with the 0 log 0 = 0 convention."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
+    p = _check("probability", float(p), 0.0, 1.0)
     if p in (0.0, 1.0):
         return 0.0
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
@@ -262,8 +258,7 @@ def threshold(kind, tol=1e-6, eve_measurement=HELSTROM_BINARY):
     """
     if kind not in THRESHOLD_KINDS:
         raise ValueError(f"kind must be one of {THRESHOLD_KINDS}, got {kind!r}")
-    if not 1e-6 <= tol < 0.5:
-        raise ValueError(f"tolerance {tol} outside the supported [1e-6, 0.5)")
+    _check("tolerance", tol, 1e-6, math.nextafter(0.5, 0.0))
 
     if kind == "one_way":
         def f(d):

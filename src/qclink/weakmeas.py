@@ -41,6 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check as _check
+
 RESOLUTION_STEP = 1.0 / 20.0  # coarsest safe grid step, in units of t_c
 DEFAULT_STEP = 1.0 / 100.0
 DEFAULT_PAD = 6.0  # grid half-span beyond the accumulated delays, in t_c
@@ -56,21 +58,16 @@ QUAD_BLOCK = (128, 2048)  # nodes x terms per exp block: 2 MB of float64
 BLOCKED_FRACTION = 1e-12
 
 
-def _check_angle(name, value):
-    if not math.isfinite(value):
-        raise ValueError(f"angle {name} must be finite, got {value}")
-
-
 def jones_linear(theta):
     """Unit Jones vector of linear polarization at angle theta."""
-    _check_angle("theta", theta)
+    _check("angle theta", theta)
     return np.array([np.cos(theta), np.sin(theta)], dtype=complex)
 
 
 def jones_elliptical(theta, phi):
     """Unit Jones vector (cos theta, e^{i phi} sin theta)."""
-    _check_angle("theta", theta)
-    _check_angle("phi", phi)
+    _check("angle theta", theta)
+    _check("angle phi", phi)
     return np.array([np.cos(theta), np.exp(1j * phi) * np.sin(theta)])
 
 
@@ -79,10 +76,7 @@ def _unit_jones(jones):
     if v.shape != (2,):
         raise ValueError(f"Jones vector must have two components, got {v.shape}")
     norm = np.linalg.norm(v)
-    if not math.isfinite(norm):
-        raise ValueError(f"Jones vector must be finite, got {v}")
-    if norm < 1e-12:
-        raise ValueError("Jones vector must be nonzero")
+    _check("Jones vector norm", norm, 1e-12)
     return v / norm
 
 
@@ -94,9 +88,7 @@ class PolarizedPulse:
     jones: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 < self.t_c < math.inf:
-            raise ValueError(f"pulse width must be finite and positive, "
-                             f"got {self.t_c}")
+        _check("pulse width", self.t_c, math.ulp(0.0))
         object.__setattr__(self, "jones", _unit_jones(self.jones))
 
 
@@ -108,9 +100,8 @@ class PmdElement:
     axis: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.delta_tau):
-            raise ValueError(f"delay must be finite, got {self.delta_tau}")
-        _check_angle("axis", self.axis)
+        _check("delay", self.delta_tau)
+        _check("angle axis", self.axis)
 
     def slow_fast(self):
         s = np.array([np.cos(self.axis), np.sin(self.axis)])
@@ -126,9 +117,8 @@ class PdlElement:
     axis: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma_db >= 0.0:
-            raise ValueError(f"attenuation must be >= 0 dB, got {self.gamma_db}")
-        _check_angle("axis", self.axis)
+        _check("attenuation", self.gamma_db, 0.0, math.inf)
+        _check("angle axis", self.axis)
 
     def amplitude_transmission(self):
         return 10.0 ** (-self.gamma_db / 20.0)
@@ -248,9 +238,9 @@ def default_time_grid(field, step=None, span=None):
     if span is None:
         extent = np.max(np.abs(field.delays)) if field.delays.size else 0.0
         span = DEFAULT_PAD * t_c + extent
-    if not (0.0 < step < math.inf and 0.0 < span < math.inf):
-        raise ValueError(f"grid step {step} and span {span} must be finite "
-                         "and positive")
+    # Python floats: the point count below overflows to inf, not a warning.
+    step = float(_check("grid step", step, math.ulp(0.0)))
+    span = float(_check("grid span", span, math.ulp(0.0)))
     if span / step > (MAX_GRID_POINTS - 1) // 2:
         raise ValueError(f"a grid of span {span} and step {step} exceeds "
                          f"{MAX_GRID_POINTS} points")
@@ -268,8 +258,7 @@ def _simpson(y, x):
     Interval pairs use the three-point rule for unequal spacings; with an
     even sample count the last interval gets Cartwright's correction.
     """
-    if y.size < 3:
-        raise ValueError("Simpson's rule needs at least three samples")
+    _check("sample count", y.size, 3, math.inf, integer=True)
     h = np.diff(x)
     m = (y.size - 1) // 2 * 2  # samples 0..m are covered by interval pairs
     h0, h1 = h[0:m:2], h[1:m:2]
@@ -334,7 +323,9 @@ def mean_toa_closed(pulse, pmd, post=None):
     na = float(np.vdot(a, a).real)
     nb = float(np.vdot(b, b).real)
     cross = 2.0 * float(np.vdot(a, b).real)
-    overlap = np.exp(-pmd.delta_tau ** 2 / (4.0 * pulse.t_c ** 2))
+    # exp(-x^2) in Python floats: x * x overflows to inf and gives 0.
+    x = float(pmd.delta_tau) / (2.0 * float(pulse.t_c))
+    overlap = np.exp(-x * x)
     den = na + nb + overlap * cross
     if den <= BLOCKED_FRACTION:
         raise ValueError("no transmitted energy: post-selection blocks the pulse")

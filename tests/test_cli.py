@@ -1,6 +1,7 @@
 """Integration tests for the command-line front end."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fidelity_records import save_fidelity_csv
 from qclink import cli, cloning
 
 
@@ -21,6 +23,29 @@ def write_config(tmp_path, values):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(values))
     return str(path)
+
+
+# Valid values of each command's required flags.
+REQUIRED_ARGS = {"distill-classical": ["--d", "0.2"],
+                 "distill-quantum": ["--f0", "0.7"],
+                 "clone-mc": ["--n", "1", "--m", "3"]}
+
+
+def out_of_range_cases():
+    """(command, flag, value) for every flag whose spec carries an
+    interval: NaN, both infinities and the nearest value outside each
+    bound."""
+    for (group, sub), (_, spec) in cli.COMMANDS.items():
+        for name, (kind, _, *interval) in spec.items():
+            for lo, hi in interval:
+                if kind is int:
+                    outside = [str(lo - 1), str(hi + 1)]
+                else:
+                    outside = [repr(math.nextafter(lo, -math.inf)),
+                               repr(math.nextafter(hi, math.inf))]
+                for value in dict.fromkeys(["nan", "inf", "-inf", *outside]):
+                    yield pytest.param(f"{group}-{sub}", name, value,
+                                       id=f"{group}-{sub}--{name}={value}")
 
 
 def strict_json(path):
@@ -154,6 +179,40 @@ class TestExitCodes:
         assert code == 1 and not csv_path.exists()
         assert "tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag, value", out_of_range_cases())
+    def test_out_of_range_flag_is_one(self, tmp_path, capsys, command, flag,
+                                      value):
+        code, csv_path, _ = run_cli(
+            command.split("-") + REQUIRED_ARGS.get(command, [])
+            + [f"--{flag}={value}"], tmp_path, f"{command}-0")
+        assert code == 1 and not csv_path.exists()
+        assert f"--{flag}" in capsys.readouterr().err
+
+    def test_birth_chain_budget_is_one(self, tmp_path, capsys):
+        code, csv_path, _ = run_cli(
+            ["clone", "mc", "--n", "1", "--m", "3", "--trials", "1000000000"],
+            tmp_path, "clone-mc-0")
+        assert code == 1 and not csv_path.exists()
+        assert "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["weak", "toa", "--dtau", "1e308"],
+        ["weak", "toa", "--dtau", "0.5", "--tc", "1e-300"],
+        ["weak", "profile", "--dtau", "1e308"]])
+    def test_extreme_delay_ratio_hits_grid_budget(self, tmp_path, capsys,
+                                                  args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(args + ["--outdir", str(tmp_path)]) == 1
+        assert "exceeds" in capsys.readouterr().err
+
+    def test_sweep_at_tiny_pulse_width(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, csv_path, _ = run_cli(["weak", "sweep", "--tc", "1e-310"],
+                                        tmp_path, "weak-sweep-0")
+        assert code == 0 and len(csv_path.read_text().splitlines()) == 26
+
     def test_monte_carlo_budget_is_one(self, tmp_path, capsys):
         code, csv_path, _ = run_cli(
             ["distill", "classical", "--d", "0.2", "--n", "64",
@@ -278,7 +337,7 @@ class TestReports:
             0.8, np.logspace(np.log10(0.5), np.log10(50), 40),
             noise_sigma=0.003, seed=2)
         path = tmp_path / "records.csv"
-        cloning.save_fidelity_csv(path, data)
+        save_fidelity_csv(path, data)
         code, _, json_path = run_cli(
             ["clone", "fit", "--input", str(path)], tmp_path, "clone-fit-0")
         assert code == 0

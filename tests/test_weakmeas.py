@@ -1,6 +1,7 @@
 """Tests for pulse propagation, arrival-time statistics and weak values."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -420,6 +421,27 @@ class TestTransitionSweep:
         field = wm.propagate(wm.PolarizedPulse(TC, [1, 0]), [])
         with pytest.raises(ValueError):
             wm.default_time_grid(field, step=step, span=span)
+
+    @pytest.mark.parametrize("dtau, t_c", [(1e308, 1.0), (0.5, 1e-300),
+                                           (0.5, 1e-310)])
+    def test_closed_form_at_extreme_ratios(self, dtau, t_c):
+        """Past the float range of dtau / t_c the overlap term is 0, as
+        it already is at dtau = 100 t_c, so <t> / dtau is the same."""
+        pre, post = wm.jones_linear(0.3), wm.PdlElement(3.0, axis=0.9)
+        resolved = wm.mean_toa_closed(wm.PolarizedPulse(1.0, pre),
+                                      wm.PmdElement(100.0), post) / 100.0
+        toa = wm.mean_toa_closed(wm.PolarizedPulse(t_c, pre),
+                                 wm.PmdElement(dtau), post)
+        assert toa / dtau == pytest.approx(resolved, rel=1e-15)
+        assert resolved != 0.0
+
+    def test_time_grid_overflow_is_silent(self):
+        field = wm.propagate(wm.PolarizedPulse(TC, [1, 1]),
+                             [wm.PmdElement(1e308)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exceeds"):
+                wm.default_time_grid(field)
 
     def test_time_grid_point_budget(self):
         field = wm.propagate(wm.PolarizedPulse(100.0, [1, 0]), [])
