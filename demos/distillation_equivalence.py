@@ -37,9 +37,9 @@ print()
 d = 0.25
 f = qkd.bell_weights(d)[0]
 print(f"at D = {d} the kept-pair weight on the target state is F = {f:.4f}")
-trace = distill.recurrence_iterate(f, 8)
+steps = distill.recurrence_iterate(f, 8)
 print("round  fidelity  success prob")
-for i, (fi, pi) in enumerate(trace.steps, start=1):
+for i, (fi, pi) in enumerate(steps, start=1):
     print(f"{i:5d}  {fi:.6f}  {pi:.4f}")
 print()
 print("Every accepted round trades pairs for fidelity; with F > 1/2 the")

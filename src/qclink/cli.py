@@ -3,9 +3,10 @@
 Commands map one-to-one onto library operations and write a CSV result
 table plus a JSON report to <outdir>/<command>-<seed>.{csv,json}. CSV
 bodies are deterministic for a fixed configuration (timestamps live only
-in the JSON report). Exit codes: 0 success, 1 usage or validation error,
-2 numerical failure. A run that fails after parsing removes any earlier
-CSV of the same name and records the error in the JSON report.
+in the JSON report, which every run writes; --no-csv skips the table).
+Exit codes: 0 success, 1 usage or validation error, 2 numerical
+failure. A run that fails after parsing removes any earlier CSV of the
+same name and records the error in the JSON report.
 
 A flat JSON config file can supply any flag (keys are flag names
 without the leading dashes); explicit command-line flags win. A flag
@@ -56,7 +57,6 @@ class RunConfig:
     seed: int
     outdir: str
     write_csv: bool
-    write_json: bool
 
 
 def _d_grid(params):
@@ -131,9 +131,9 @@ def cmd_distill_classical(params, seed):
 
 def cmd_distill_quantum(params, seed):
     f0 = params["f0"]
-    trace = distill.recurrence_iterate(f0, params["rounds"])
-    rows = [[i + 1, f, p] for i, (f, p) in enumerate(trace.steps)]
-    summary = {"f0": f0, "final_fidelity": trace.steps[-1][0]}
+    steps = distill.recurrence_iterate(f0, params["rounds"])
+    rows = [[i + 1, f, p] for i, (f, p) in enumerate(steps)]
+    summary = {"f0": f0, "final_fidelity": steps[-1][0]}
     return ["round", "fidelity", "success_probability"], rows, summary
 
 
@@ -282,7 +282,7 @@ COMMANDS = {
         "mu-in": (float, _REQUIRED), "mu-out": (float, _REQUIRED),
         "q": (float, _REQUIRED)}),
     ("clone", "mc"): (cmd_clone_mc, {
-        "n": (int, _REQUIRED), "m": (int, _REQUIRED),
+        "n": (int, _REQUIRED), "m": (int, _REQUIRED, (1, 10 ** 4)),
         "trials": (int, 100_000, (10 ** 4, cloning.BIRTH_MAX_TRIALS))}),
     ("clone", "mixture"): (cmd_clone_mixture, {
         "mu-in": (float, _REQUIRED), "gain": (float, 10.0)}),
@@ -309,8 +309,6 @@ def _build_parser():
                         help=f"output directory (default ${OUTDIR_ENV} or .)")
     common.add_argument("--csv", action=argparse.BooleanOptionalAction,
                         default=True, help="write the CSV table (default on)")
-    common.add_argument("--json", action=argparse.BooleanOptionalAction,
-                        default=True, help="write the JSON report (default on)")
 
     parser = _Parser(prog="qclink", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -341,7 +339,7 @@ def _config_flags(path, spec):
         raise UsageError(f"config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold one JSON object")
-    known = set(spec) | {"seed", "outdir", "csv", "json"}
+    known = set(spec) | {"seed", "outdir", "csv"}
     flags = []
     for key, value in raw.items():
         name = key.lstrip("-").replace("_", "-")
@@ -390,8 +388,7 @@ def _write_report(config, path, **outcome):
                "timestamp": datetime.now(timezone.utc).isoformat(),
                "command": config.command,
                "config": {"params": config.params, "seed": config.seed,
-                          "outdir": config.outdir, "csv": config.write_csv,
-                          "json": config.write_json},
+                          "outdir": config.outdir, "csv": config.write_csv},
                **outcome}
     with open(path, "w") as fh:
         json.dump(_jsonable(payload), fh, indent=2, allow_nan=False)
@@ -415,9 +412,8 @@ def execute(config):
         _write_report(config, json_path, error=str(exc))
         raise
 
-    if config.write_json:
-        _write_report(config, json_path, columns=columns, rows=rows,
-                      summary=summary)
+    _write_report(config, json_path, columns=columns, rows=rows,
+                  summary=summary)
     if config.write_csv:
         lines = [",".join(columns)]
         lines += [",".join(_fmt_cell(v) for v in row) for row in rows]
@@ -446,7 +442,7 @@ def parse(argv):
         raise UsageError(str(exc)) from None
     return RunConfig(command=f"{args.group}-{args.subcommand}",
                      params=params, seed=args.seed, outdir=args.outdir,
-                     write_csv=args.csv, write_json=args.json)
+                     write_csv=args.csv)
 
 
 def main(argv=None):

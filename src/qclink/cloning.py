@@ -16,7 +16,8 @@ joins mode k with probability proportional to n_k + 1, the stimulated
 plus spontaneous emission weights. A Poisson mixture over input photon
 number and a least-squares recovery of Q from fidelity-vs-intensity
 records round out the analysis tools. The Monte Carlo birth chain holds
-about 34 bytes per trial and refuses more than BIRTH_MAX_TRIALS trials.
+about 34 bytes per trial and refuses more than BIRTH_MAX_TRIALS trials or
+BIRTH_MAX_TRIAL_STEPS trial-steps.
 """
 
 import csv
@@ -29,6 +30,8 @@ from ._checks import check as _check
 
 # Largest trial count birth_process_mc accepts: about 0.34 GB of samples.
 BIRTH_MAX_TRIALS = 10 ** 7
+# Largest trials * (m - n) birth_process_mc accepts: about 1.3 s of steps.
+BIRTH_MAX_TRIAL_STEPS = 10 ** 8
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -60,21 +63,25 @@ def birth_process_exact(n, m):
     adds photons one at a time with weight n_k + 1 until m photons exist.
     """
     n, m = _copy_counts(n, m)
-    probs = {n: 1.0}  # n_signal -> probability, total photon count implicit
+    probs = np.ones(1)  # probs[j] = P(n + j signal photons)
     for total in range(n, m):
-        nxt = {}
-        for ns, p in probs.items():
-            p_sig = (ns + 1) / (total + 2)
-            nxt[ns + 1] = nxt.get(ns + 1, 0.0) + p * p_sig
-            nxt[ns] = nxt.get(ns, 0.0) + p * (1.0 - p_sig)
+        p_sig = np.arange(n + 1, n + probs.size + 1) / (total + 2)
+        nxt = np.zeros(probs.size + 1)
+        nxt[:-1] = probs * (1.0 - p_sig)
+        nxt[1:] += probs * p_sig
         probs = nxt
-    return sum(ns * p for ns, p in probs.items()) / m
+    # Summed from the most signal photons down, in Python floats.
+    return sum((np.arange(n, n + probs.size) * probs)[::-1].tolist()) / m
 
 
 def birth_process_mc(n, m, trials, seed=0):
     """Monte Carlo mean and standard error of the birth-chain fidelity."""
     trials = _check("trials", trials, 10 ** 4, BIRTH_MAX_TRIALS, integer=True)
     n, m = _copy_counts(n, m)
+    if trials * (m - n) > BIRTH_MAX_TRIAL_STEPS:
+        raise ValueError(
+            f"trials * (m - n) = {trials * (m - n)} exceeds the Monte Carlo "
+            f"budget of {BIRTH_MAX_TRIAL_STEPS} trial-steps")
     rng = np.random.default_rng(seed)
     n_sig = np.full(trials, n, dtype=np.int64)
     for total in range(n, m):

@@ -83,15 +83,6 @@ class AdMonteCarloOutcome(AdOutcome):
     se_i_ae: float = 0.0
     trials: int = 0
     accepted: int = 0
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class RecurrenceTrace:
-    """Per-round (fidelity, success probability) of iterated recurrence."""
-
-    f0: float
-    steps: tuple
 
 
 def _conditional_eve(dist):
@@ -279,7 +270,7 @@ def ad_monte_carlo(dist, n, trials, seed=0):
         block_size=n, p_accept=p_acc, eps_post=eps_post,
         i_ab=1.0 - binary_entropy(eps_post), i_ae=i_ae,
         se_p_accept=float(se_p_acc), se_eps_post=float(se_eps_post),
-        se_i_ae=se_i_ae, trials=trials, accepted=n_acc, seed=seed)
+        se_i_ae=se_i_ae, trials=trials, accepted=n_acc)
 
 
 def ad_min_block(dist, n_max=30):
@@ -308,7 +299,7 @@ def recurrence_step(f):
 
 
 def recurrence_iterate(f0, rounds):
-    """Iterate recurrence_step, recording each round."""
+    """Each round's (fidelity, success probability) under recurrence_step."""
     _check("fidelity", f0, 0.0, 1.0)
     rounds = _check("rounds", rounds, 0, math.inf, integer=True)
     steps = []
@@ -316,7 +307,7 @@ def recurrence_iterate(f0, rounds):
     for _ in range(rounds):
         f, p = recurrence_step(f)
         steps.append((f, p))
-    return RecurrenceTrace(f0=f0, steps=tuple(steps))
+    return tuple(steps)
 
 
 def _cnot_16(control, target):

@@ -40,9 +40,10 @@ def dm(psi):
     return np.outer(psi, psi.conj())
 
 
-def is_hermitian(m, atol=HERM_ATOL):
+def is_hermitian(m):
     m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= atol
+    return (m.shape[0] == m.shape[1]
+            and np.max(np.abs(m - m.conj().T)) <= HERM_ATOL)
 
 
 def check_density_matrix(rho):

@@ -51,9 +51,6 @@ class SymbolDistribution:
     """Joint table P(a, b, e) after sifting, shape (2, 2, |E|)."""
 
     table: np.ndarray
-    basis: str = "z"
-    eve_measurement: str = HELSTROM_BINARY
-    disturbance: float = np.nan
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=float)
@@ -207,9 +204,7 @@ def symbol_distribution(params, basis="z"):
     for (a, b), v in probes.items():
         for e, pi in enumerate(povm):
             table[a, b, e] = max(float(np.real(v.conj() @ pi @ v)), 0.0)
-    return SymbolDistribution(table, basis=basis,
-                              eve_measurement=params.eve_measurement,
-                              disturbance=params.disturbance)
+    return SymbolDistribution(table)
 
 
 def error_rate(dist):

@@ -219,14 +219,13 @@ def propagate(pulse, elements):
             delays = np.concatenate([field.delays + element.delta_tau / 2.0,
                                      field.delays - element.delta_tau / 2.0])
             amps = np.vstack([np.outer(cs, slow), np.outer(cf, fast)])
-            keep = (np.abs(amps) ** 2).sum(axis=1) > 0.0
-            field = PropagatedField(field.t_c, delays[keep], amps[keep])
         elif isinstance(element, PdlElement):
+            delays = field.delays
             amps = field.amps @ element.jones_matrix().T.astype(complex)
-            keep = (np.abs(amps) ** 2).sum(axis=1) > 0.0
-            field = PropagatedField(field.t_c, field.delays[keep], amps[keep])
         else:
             raise ValueError(f"unknown element {element!r}")
+        keep = (np.abs(amps) ** 2).sum(axis=1) > 0.0
+        field = PropagatedField(field.t_c, delays[keep], amps[keep])
     return field
 
 
@@ -277,6 +276,8 @@ def _simpson(y, x):
 def _sampled_mean(t, intensity, floor):
     t = np.asarray(t, dtype=float)
     intensity = np.asarray(intensity, dtype=float)
+    if not (np.isfinite(t).all() and np.isfinite(intensity).all()):
+        raise ValueError("sample times and intensities must be finite")
     total = _simpson(intensity, t)
     if total <= floor:
         raise ValueError("no transmitted energy in the sampled profile")
@@ -288,20 +289,13 @@ def mean_toa_from_samples(t, intensity):
     return _sampled_mean(t, intensity, 0.0)
 
 
-def mean_toa_numeric(field, t=None):
-    """Mean arrival time of the total detected intensity on a grid.
+def mean_toa_numeric(field):
+    """Mean arrival time of the total detected intensity, default grid.
 
     The detector integrates both polarization components; pass the field
     through an analyzer first to model a polarization-resolved detector.
     """
-    if t is None:
-        t = default_time_grid(field)
-    else:
-        t = np.asarray(t, dtype=float)
-        steps = np.diff(t)
-        if steps.size and np.median(steps) > RESOLUTION_STEP * field.t_c:
-            warnings.warn("grid step exceeds t_c/20; the sampled profile "
-                          "is under-resolved", stacklevel=2)
+    t = default_time_grid(field)
     return _sampled_mean(t, field.intensity(t).sum(axis=1),
                          BLOCKED_FRACTION * np.sqrt(np.pi) * field.t_c)
 
@@ -309,9 +303,7 @@ def mean_toa_numeric(field, t=None):
 def _post_operator(post):
     if post is None:
         return np.eye(2, dtype=complex)
-    if isinstance(post, PdlElement):
-        return post.jones_matrix().astype(complex)
-    return np.asarray(post, dtype=complex).reshape(2, 2)
+    return post.jones_matrix().astype(complex)
 
 
 def mean_toa_closed(pulse, pmd, post=None):
@@ -356,6 +348,8 @@ def weak_value(pre, pmd, post=None):
 
 def discrimination_error(delta_tau, t_c):
     """Error of telling the two delay eigenmodes apart by arrival-time sign."""
+    _check("delay", delta_tau, 0.0)
+    _check("pulse width", t_c, math.ulp(0.0))
     return 0.5 * math.erfc(delta_tau / (2.0 * t_c))
 
 
@@ -380,7 +374,6 @@ class TransitionRow:
 
     ratio: float
     delta_tau: float
-    t_c: float
     toa_exact: float
     toa_weak: float
     abs_error: float
@@ -405,7 +398,7 @@ def toa_transition_sweep(pre, post, delta_tau_grid, t_c):
         exact = mean_toa_closed(pulse, pmd, post)
         weak = weak_value(psi, pmd, post)
         rows.append(TransitionRow(
-            ratio=float(dt / t_c), delta_tau=float(dt), t_c=float(t_c),
+            ratio=float(dt / t_c), delta_tau=float(dt),
             toa_exact=exact, toa_weak=weak, abs_error=abs(exact - weak),
             discrimination_error=discrimination_error(float(dt), t_c)))
     return rows

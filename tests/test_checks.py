@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qclink import cloning, distill, qkd
+from qclink import weakmeas as wm
 from qclink._checks import check
 
 
@@ -53,11 +54,17 @@ DIST = qkd.symbol_distribution(qkd.AttackParams(0.1))
     lambda: distill.ad_exact(DIST, 2.5),
     lambda: distill.recurrence_iterate(0.7, math.nan),
     lambda: distill.recurrence_iterate(1.5, 0),
-    lambda: cloning.birth_process_mc(1, 3, trials=math.nan)],
+    lambda: cloning.birth_process_mc(1, 3, trials=math.nan),
+    lambda: wm.discrimination_error(math.nan, 1.0),
+    lambda: wm.discrimination_error(-1.0, 1.0),
+    lambda: wm.discrimination_error(1.0, 0.0)],
     ids=["mc-trials-nan", "ad-exact-fraction", "rounds-nan",
-         "fidelity-above-one", "birth-trials-nan"])
+         "fidelity-above-one", "birth-trials-nan", "discrimination-delay-nan",
+         "discrimination-delay-negative", "discrimination-width-zero"])
 def test_invalid_library_input_is_value_error(call):
     """A NaN or fractional count is a ValueError, not a TypeError from
-    deep inside, and a fidelity above 1 is not iterated even 0 times."""
+    deep inside, a fidelity above 1 is not iterated even 0 times, and a
+    NaN delay or zero pulse width is not turned into nan or a division
+    error."""
     with pytest.raises(ValueError):
         call()

@@ -108,6 +108,14 @@ class TestParse:
             cli.parse(["clone", "fidelity", "--config",
                        write_config(tmp_path, values)])
 
+    def test_json_report_cannot_be_switched_off(self, tmp_path):
+        args = ["clone", "fidelity", "--n", "1", "--m", "2",
+                "--outdir", str(tmp_path)]
+        assert cli.main(args + ["--no-json"]) == 1
+        config = write_config(tmp_path, {"json": False})
+        assert cli.main(args + ["--config", config]) == 1
+        assert not (tmp_path / "clone-fidelity-0.json").exists()
+
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
         cfg = cli.parse(["clone", "fidelity", "--n", "1", "--m", "2"])
@@ -194,6 +202,13 @@ class TestExitCodes:
             tmp_path, "clone-mc-0")
         assert code == 1 and not csv_path.exists()
         assert "--trials" in capsys.readouterr().err
+
+    def test_birth_chain_step_budget_is_one(self, tmp_path, capsys):
+        code, csv_path, _ = run_cli(
+            ["clone", "mc", "--n", "1", "--m", "10000"], tmp_path,
+            "clone-mc-0")
+        assert code == 1 and not csv_path.exists()
+        assert "budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ["weak", "toa", "--dtau", "1e308"],

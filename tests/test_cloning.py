@@ -123,6 +123,11 @@ class TestBirthProcess:
         with pytest.raises(ValueError, match="trials"):
             cloning.birth_process_mc(1, 3, trials=cloning.BIRTH_MAX_TRIALS + 1)
 
+    def test_step_budget_checked_before_sampling(self):
+        # 10^4 trials of 10^4 + 1 steps: just over BIRTH_MAX_TRIAL_STEPS.
+        with pytest.raises(ValueError, match="budget"):
+            cloning.birth_process_mc(1, 10 ** 4 + 2, trials=10 ** 4)
+
 
 class TestPoissonMixture:
     def test_unit_gain(self):

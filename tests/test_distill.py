@@ -90,7 +90,7 @@ def overlapping_supports():
     table[0, 1] = 0.10 * np.array([0.0, 0.6, 0.0, 0.4])
     table[1, 1] = 0.42 * np.array([0.25, 0.0, 0.25, 0.5])
     table[1, 0] = 0.08 * np.array([0.0, 0.0, 0.7, 0.3])
-    return qkd.SymbolDistribution(table, eve_measurement=qkd.SQUARE_ROOT_4)
+    return qkd.SymbolDistribution(table)
 
 
 class TestAdExact:
@@ -370,8 +370,8 @@ class TestRecurrence:
 
     def test_iterate_converges_to_one(self):
         # near F = 1 the infidelity contracts by 2/3 per round
-        trace = distill.recurrence_iterate(0.7, 25)
-        fids = [f for f, _ in trace.steps]
+        steps = distill.recurrence_iterate(0.7, 25)
+        fids = [f for f, _ in steps]
         assert all(b > a for a, b in zip([0.7] + fids, fids))
         assert fids[-1] > 0.999
 
@@ -418,8 +418,8 @@ class TestWernerChain:
 
     def test_improvement_iterates_toward_pure(self):
         f = qcore.singlet_fidelity(qcore.werner(0.5))
-        trace = distill.recurrence_iterate(f, 35)
-        assert trace.steps[-1][0] > 0.9999
+        steps = distill.recurrence_iterate(f, 35)
+        assert steps[-1][0] > 0.9999
 
 
 class TestEquivalenceSweep:

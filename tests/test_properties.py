@@ -1,0 +1,68 @@
+"""Property tests over randomly drawn inputs, with fixed example sets."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qclink import cloning, qkd
+from qclink import weakmeas as wm
+
+# Same examples every run, no example database, no per-example deadline.
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None,
+                    database=None)
+
+
+def birth_exact_by_dict(n, m):
+    """The birth chain enumerated state by state in a dict keyed by the
+    signal photon count: the oracle for cloning.birth_process_exact."""
+    probs = {n: 1.0}
+    for total in range(n, m):
+        nxt = {}
+        for ns, p in probs.items():
+            p_sig = (ns + 1) / (total + 2)
+            nxt[ns + 1] = nxt.get(ns + 1, 0.0) + p * p_sig
+            nxt[ns] = nxt.get(ns, 0.0) + p * (1.0 - p_sig)
+        probs = nxt
+    return sum(ns * p for ns, p in probs.items()) / m
+
+
+@PROPERTY
+@given(st.integers(1, 200).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(n, 200))))
+def test_birth_chain_matches_dict_enumeration(nm):
+    assert cloning.birth_process_exact(*nm) == birth_exact_by_dict(*nm)
+
+
+ANGLE = st.floats(0.0, np.pi)
+ELEMENT = st.one_of(
+    st.builds(wm.PmdElement, st.floats(0.0, 4.0), ANGLE),
+    st.builds(wm.PdlElement, st.one_of(st.floats(0.0, 40.0),
+                                       st.just(np.inf)), ANGLE))
+
+
+@PROPERTY
+@given(ANGLE, ANGLE, st.lists(ELEMENT, max_size=6))
+def test_energy_never_increases_along_a_chain(theta, phi, chain):
+    """Each element keeps or lowers the energy, and a chain of delay
+    elements alone keeps it to round-off."""
+    pulse = wm.PolarizedPulse(0.7, wm.jones_elliptical(theta, phi))
+    energy = [wm.propagate(pulse, chain[:i]).energy()
+              for i in range(len(chain) + 1)]
+    assert energy[0] == pytest.approx(np.sqrt(np.pi) * 0.7, rel=1e-12)
+    for before, after in zip(energy, energy[1:]):
+        assert after <= before * (1.0 + 1e-12)
+    if all(isinstance(e, wm.PmdElement) for e in chain):
+        assert energy[-1] == pytest.approx(energy[0], rel=1e-12)
+
+
+@PROPERTY
+@given(st.floats(0.0, 0.5), st.sampled_from(qkd.EVE_MEASUREMENTS),
+       st.sampled_from(qkd.BASES))
+def test_symbol_table_normalised_with_uniform_sender(d, eve, basis):
+    table = qkd.symbol_distribution(
+        qkd.AttackParams(d, eve_measurement=eve), basis).table
+    assert (table >= 0.0).all()
+    assert table.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(table.sum(axis=(1, 2)), 0.5, rtol=0,
+                               atol=1e-10)

@@ -272,7 +272,7 @@ class TestMeanToa:
         pulse = wm.PolarizedPulse(TC, wm.jones_linear(0.3))
         field = wm.propagate(pulse, [wm.PmdElement(0.5)])
         with pytest.warns(UserWarning):
-            wm.mean_toa_numeric(field, np.linspace(-8, 8, 40))
+            wm.default_time_grid(field, step=0.4)
 
     @pytest.mark.parametrize("n", [3, 4, 101, 250])
     @pytest.mark.parametrize("uniform", [True, False])
@@ -293,6 +293,14 @@ class TestMeanToa:
         profile = np.where(np.abs(t - 0.5) < 2.0, 1.0, 0.0)
         assert wm.mean_toa_from_samples(t, profile) == pytest.approx(0.5,
                                                                      abs=1e-9)
+
+    @pytest.mark.parametrize("bad", ["time", "intensity"])
+    def test_non_finite_samples_rejected(self, bad):
+        t = np.arange(5.0)
+        profile = np.array([1.0, 2.0, 2.0, 2.0, 1.0])
+        (t if bad == "time" else profile)[2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            wm.mean_toa_from_samples(t, profile)
 
 
 class TestWeakValue:
