@@ -216,9 +216,12 @@ def cmd_weak_sweep(params, seed):
     if not lo < hi:
         raise ValueError("parameters --ratio-min/--ratio-max must satisfy "
                          "min < max")
-    ratios = np.geomspace(lo, hi, params["points"])
-    sweep = wm.toa_transition_sweep(_pulse(params), _post_element(params),
-                                    ratios * t_c, t_c)
+    pulse, post = _pulse(params), _post_element(params)
+    # The grid's top delay in Python floats, where overflow gives inf
+    # silently; the numpy product below would warn first.
+    _check("delay", hi * t_c)
+    sweep = wm.toa_transition_sweep(
+        pulse, post, np.geomspace(lo, hi, params["points"]) * t_c, t_c)
     rows = [[r.delta_tau, *(params[k] for k in _PULSE_FLAGS), r.toa_exact,
              r.toa_weak, r.abs_error] for r in sweep]
     # The slope is fitted to the weak-end errors above round-off only.

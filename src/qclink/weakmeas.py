@@ -306,22 +306,53 @@ def _post_operator(post):
     return post.jones_matrix().astype(complex)
 
 
-def mean_toa_closed(pulse, pmd, post=None):
-    """Closed-form mean arrival time after one delay and one post element."""
+_BLOCKED = "no transmitted energy: post-selection blocks the pulse"
+_ORTHOGONAL = ("post-selection is (nearly) orthogonal to the input; "
+               "the weak-value prediction diverges")
+
+
+def _check_den(den, message):
+    """Raise if a denominator (a float or an array) is at most
+    BLOCKED_FRACTION anywhere."""
+    if np.any(den <= BLOCKED_FRACTION):
+        raise ValueError(message)
+
+
+def _section_terms(jones, pmd, post):
+    """The delay-independent terms of one delay and one post element:
+    |a|^2, |b|^2 and 2 Re<a, b> of the closed form, and
+    Re<psi|Pi sigma|psi> and <psi|Pi|psi> of the weak value. Only the
+    axis of pmd enters."""
     slow, fast = pmd.slow_fast()
     k = _post_operator(post)
-    a = (pulse.jones @ slow.astype(complex)) * (k @ slow.astype(complex))
-    b = (pulse.jones @ fast.astype(complex)) * (k @ fast.astype(complex))
-    na = float(np.vdot(a, a).real)
-    nb = float(np.vdot(b, b).real)
-    cross = 2.0 * float(np.vdot(a, b).real)
-    # exp(-x^2) in Python floats: x * x overflows to inf and gives 0.
-    x = float(pmd.delta_tau) / (2.0 * float(pulse.t_c))
-    overlap = np.exp(-x * x)
-    den = na + nb + overlap * cross
-    if den <= BLOCKED_FRACTION:
-        raise ValueError("no transmitted energy: post-selection blocks the pulse")
-    return float((pmd.delta_tau / 2.0) * (na - nb) / den)
+    a = (jones @ slow.astype(complex)) * (k @ slow.astype(complex))
+    b = (jones @ fast.astype(complex)) * (k @ fast.astype(complex))
+    pi = k.conj().T @ k
+    sigma = (np.outer(slow, slow) - np.outer(fast, fast)).astype(complex)
+    return (float(np.vdot(a, a).real), float(np.vdot(b, b).real),
+            2.0 * float(np.vdot(a, b).real),
+            float(np.real(jones.conj() @ pi @ sigma @ jones)),
+            float(np.real(jones.conj() @ pi @ jones)))
+
+
+def _closed_toa(terms, dtau, t_c):
+    """Closed-form arrival time and its denominator at delay dtau, a float
+    or an array. Where the denominator is at most BLOCKED_FRACTION the
+    time is meaningless and the caller raises."""
+    na, nb, cross = terms[:3]
+    # x * x may overflow to inf, giving exp(-inf) = 0: the resolved limit.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = dtau / (2.0 * t_c)
+        den = na + nb + np.exp(-x * x) * cross
+        return (dtau / 2.0) * (na - nb) / den, den
+
+
+def mean_toa_closed(pulse, pmd, post=None):
+    """Closed-form mean arrival time after one delay and one post element."""
+    toa, den = _closed_toa(_section_terms(pulse.jones, pmd, post),
+                           float(pmd.delta_tau), float(pulse.t_c))
+    _check_den(den, _BLOCKED)
+    return float(toa)
 
 
 def weak_value(pre, pmd, post=None):
@@ -333,16 +364,8 @@ def weak_value(pre, pmd, post=None):
     instead of returning a diverging number.
     """
     psi = pre.jones if isinstance(pre, PolarizedPulse) else _unit_jones(pre)
-    slow, fast = pmd.slow_fast()
-    k = _post_operator(post)
-    pi = k.conj().T @ k
-    sigma = (np.outer(slow, slow) - np.outer(fast, fast)).astype(complex)
-    den = float(np.real(psi.conj() @ pi @ psi))
-    if den <= BLOCKED_FRACTION:
-        raise ValueError(
-            "post-selection is (nearly) orthogonal to the input; "
-            "the weak-value prediction diverges")
-    num = float(np.real(psi.conj() @ pi @ sigma @ psi))
+    *_, num, den = _section_terms(psi, pmd, post)
+    _check_den(den, _ORTHOGONAL)
     return float((pmd.delta_tau / 2.0) * num / den)
 
 
@@ -386,19 +409,36 @@ def toa_transition_sweep(pre, post, delta_tau_grid, t_c):
     The absolute error column divided by dtau/2 (the pointer scale) falls
     off quadratically in dtau/t_c as the coupling weakens; the
     discrimination-error column quantifies the strong, two-peak end.
+
+    Only the delay changes along the grid: the 2x2 terms are computed
+    once, and the closed form and the weak value are evaluated on the
+    whole grid as arrays in the operation order of mean_toa_closed and
+    weak_value, so each row equals those functions bit for bit. The grid
+    must be positive and finite. A blocked first point raises before an
+    orthogonal post-selection does, any other blocked point after it.
     """
     grid = np.asarray(delta_tau_grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("delay grid must be one-dimensional")
     if np.any(grid <= 0.0):
         raise ValueError("delay grid must be positive")
     psi = pre.jones if isinstance(pre, PolarizedPulse) else _unit_jones(pre)
-    rows = []
-    for dt in grid:
-        pulse = PolarizedPulse(t_c, psi)
-        pmd = PmdElement(delta_tau=float(dt))
-        exact = mean_toa_closed(pulse, pmd, post)
-        weak = weak_value(psi, pmd, post)
-        rows.append(TransitionRow(
-            ratio=float(dt / t_c), delta_tau=float(dt),
-            toa_exact=exact, toa_weak=weak, abs_error=abs(exact - weak),
-            discrimination_error=discrimination_error(float(dt), t_c)))
-    return rows
+    if grid.size == 0:
+        return []
+    pulse = PolarizedPulse(t_c, psi)
+    if not np.isfinite(grid).all():
+        raise ValueError("delay grid must be finite")
+    # pulse.jones is _unit_jones(psi), the vector weak_value(psi, ...) uses.
+    *terms, num, den = _section_terms(pulse.jones, PmdElement(0.0), post)
+    exact, exact_den = _closed_toa(terms, grid, float(t_c))
+    _check_den(exact_den[0], _BLOCKED)
+    _check_den(den, _ORTHOGONAL)
+    _check_den(exact_den, _BLOCKED)
+    weak = (grid / 2.0) * num / den
+    dtau = grid.tolist()
+    # The last column is discrimination_error without its range checks,
+    # which the pulse and the grid have passed.
+    return list(map(TransitionRow, (grid / t_c).tolist(), dtau,
+                    exact.tolist(), weak.tolist(),
+                    np.abs(exact - weak).tolist(),
+                    [0.5 * math.erfc(d / (2.0 * t_c)) for d in dtau]))

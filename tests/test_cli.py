@@ -221,6 +221,16 @@ class TestExitCodes:
             assert cli.main(args + ["--outdir", str(tmp_path)]) == 1
         assert "exceeds" in capsys.readouterr().err
 
+    def test_sweep_delay_overflow_is_one_without_warning(self, tmp_path,
+                                                        capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, csv_path, _ = run_cli(
+                ["weak", "sweep", "--ratio-max", "1e308", "--tc", "10"],
+                tmp_path, "weak-sweep-0")
+        assert code == 1 and not csv_path.exists()
+        assert "delay must be finite" in capsys.readouterr().err
+
     def test_sweep_at_tiny_pulse_width(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

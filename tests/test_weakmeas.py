@@ -39,6 +39,33 @@ def random_chain(rng, t_c, sections):
     return chain
 
 
+def sweep_by_points(pre, post, grid, t_c):
+    """The weak-to-strong sweep one delay at a time through the one-point
+    public functions: the oracle for toa_transition_sweep."""
+    grid = np.asarray(grid, dtype=float)
+    if np.any(grid <= 0.0):
+        raise ValueError("delay grid must be positive")
+    psi = pre.jones if isinstance(pre, wm.PolarizedPulse) else wm._unit_jones(pre)
+    rows = []
+    for dt in grid:
+        pulse = wm.PolarizedPulse(t_c, psi)
+        pmd = wm.PmdElement(delta_tau=float(dt))
+        exact = wm.mean_toa_closed(pulse, pmd, post)
+        weak = wm.weak_value(psi, pmd, post)
+        rows.append(wm.TransitionRow(
+            ratio=float(dt / t_c), delta_tau=float(dt),
+            toa_exact=exact, toa_weak=weak, abs_error=abs(exact - weak),
+            discrimination_error=wm.discrimination_error(float(dt), t_c)))
+    return rows
+
+
+def raised(call):
+    """The message of the ValueError call raises."""
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
 class TestElements:
     def test_pulse_normalises_jones(self):
         p = wm.PolarizedPulse(2.0, [3.0, 4.0])
@@ -462,6 +489,69 @@ class TestTransitionSweep:
     def test_grid_must_be_positive(self):
         with pytest.raises(ValueError):
             wm.toa_transition_sweep(wm.jones_linear(0.1), None, [0.0, 0.1], TC)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_grid_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="delay grid must be"):
+            wm.toa_transition_sweep(wm.jones_linear(0.1), None,
+                                    [0.1, bad, 0.2], TC)
+
+    def test_grid_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            wm.toa_transition_sweep(wm.jones_linear(0.1), None, 0.1, TC)
+
+    def test_empty_grid_gives_no_rows(self):
+        assert wm.toa_transition_sweep(wm.jones_linear(0.1), None, [], TC) == []
+
+    @pytest.mark.parametrize("grid, message", [
+        ([1e-9, 1.0], "no transmitted energy"),
+        ([1.0, 1e-9], "weak-value prediction diverges")])
+    def test_orthogonal_post_selection_error_order(self, grid, message):
+        """Against an orthogonal analyzer the closed form is blocked only
+        at small delays: a blocked first point raises before the weak
+        value does, as the point-by-point loop does."""
+        pre, post = wm.jones_linear(0.3), wm.analyzer(0.3 + np.pi / 2)
+        got = raised(lambda: wm.toa_transition_sweep(pre, post, grid, TC))
+        assert message in got
+        assert got == raised(lambda: sweep_by_points(pre, post, grid, TC))
+
+    def test_blocked_later_point_raises(self):
+        """With analyzer and input mirrored about 45 degrees, <psi|Pi|psi>
+        = d^2 = 1.5e-12 passes but the resolved closed form keeps only
+        d^2 / 2: the weak value is fine and a far point is blocked."""
+        d = np.sqrt(1.5e-12)
+        pre, post = wm.jones_linear(d / 2), wm.analyzer(np.pi / 2 - d / 2)
+        grid = [1e-3, 1.0, 100.0]
+        assert np.isfinite(wm.weak_value(pre, wm.PmdElement(1.0), post))
+        got = raised(lambda: wm.toa_transition_sweep(pre, post, grid, TC))
+        assert "no transmitted energy" in got
+        assert got == raised(lambda: sweep_by_points(pre, post, grid, TC))
+        assert len(wm.toa_transition_sweep(pre, post, grid[:2], TC)) == 2
+
+    def test_matches_point_by_point_oracle(self):
+        """Every field of every row equals the one-point functions bit for
+        bit: no post element, an analyzer or a lossy element; elliptical
+        input states, pulse widths from 0.2 to 3 and up to 300 points."""
+        rng = np.random.default_rng(21)
+        for case in range(36):
+            post = [None, wm.analyzer(rng.uniform(0, np.pi)),
+                    wm.PdlElement(rng.uniform(0.0, 30.0),
+                                  rng.uniform(0, np.pi))][case % 3]
+            pre = elliptical(rng)
+            if case % 2:
+                pre = wm.PolarizedPulse(1.0, pre)
+            t_c = rng.uniform(0.2, 3.0)
+            grid = t_c * np.geomspace(10.0 ** rng.uniform(-4, -1),
+                                      10.0 ** rng.uniform(0, 1.5),
+                                      rng.integers(1, 301))
+            try:
+                expected = sweep_by_points(pre, post, grid, t_c)
+            except ValueError as exc:
+                assert raised(lambda: wm.toa_transition_sweep(
+                    pre, post, grid, t_c)) == str(exc)
+                continue
+            got = wm.toa_transition_sweep(pre, post, grid, t_c)
+            assert [repr(r) for r in got] == [repr(r) for r in expected]
 
     def test_peak_separation_regimes(self):
         pre = wm.jones_linear(np.pi / 4)
