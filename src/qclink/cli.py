@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Commands map one-to-one onto library operations and write a CSV result
-table plus a JSON report to <outdir>/<command>-<seed>.{csv,json}. CSV
-bodies are deterministic for a fixed configuration (timestamps live only
-in the JSON report, which every run writes; --no-csv skips the table).
-Exit codes: 0 success, 1 usage or validation error, 2 numerical
-failure. A run that fails after parsing removes any earlier CSV of the
-same name and records the error in the JSON report.
+Commands map one-to-one onto library operations. A run writes its result
+table to <outdir>/<command>-<seed>.csv (body deterministic for a fixed
+configuration) and a JSON report to <outdir>/<command>-<seed>.json with
+the timestamp, the configuration, and the summary or the error; the table
+lives only in the CSV. Exit codes: 0 success, 1 usage or validation error,
+2 numerical failure. A run that fails after parsing removes any earlier
+CSV of the same name and records the error in the report.
 
 A flat JSON config file can supply any flag (keys are flag names
 without the leading dashes); explicit command-line flags win. A flag
@@ -56,7 +56,6 @@ class RunConfig:
     params: dict
     seed: int
     outdir: str
-    write_csv: bool
 
 
 def _d_grid(params):
@@ -310,8 +309,6 @@ def _build_parser():
                         help="random seed (default 0, always recorded)")
     common.add_argument("--outdir", default=os.environ.get(OUTDIR_ENV, "."),
                         help=f"output directory (default ${OUTDIR_ENV} or .)")
-    common.add_argument("--csv", action=argparse.BooleanOptionalAction,
-                        default=True, help="write the CSV table (default on)")
 
     parser = _Parser(prog="qclink", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -342,16 +339,13 @@ def _config_flags(path, spec):
         raise UsageError(f"config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold one JSON object")
-    known = set(spec) | {"seed", "outdir", "csv"}
+    known = set(spec) | {"seed", "outdir"}
     flags = []
     for key, value in raw.items():
         name = key.lstrip("-").replace("_", "-")
         if name not in known:
             raise UsageError(f"config file {path}: unknown parameter {key!r}")
-        if isinstance(value, bool):
-            flags.append(f"--{name}" if value else f"--no-{name}")
-        else:
-            flags.append(f"--{name}={value}")
+        flags.append(f"--{name}={value}")
     return flags
 
 
@@ -371,8 +365,6 @@ def _jsonable(value):
     """Plain JSON value; non-finite floats become "inf", "-inf", "nan"."""
     if value is None or isinstance(value, (bool, str)):
         return value
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
@@ -380,8 +372,6 @@ def _jsonable(value):
         return value if math.isfinite(value) else str(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in value]
     return str(value)
 
 
@@ -391,7 +381,7 @@ def _write_report(config, path, **outcome):
                "timestamp": datetime.now(timezone.utc).isoformat(),
                "command": config.command,
                "config": {"params": config.params, "seed": config.seed,
-                          "outdir": config.outdir, "csv": config.write_csv},
+                          "outdir": config.outdir},
                **outcome}
     with open(path, "w") as fh:
         json.dump(_jsonable(payload), fh, indent=2, allow_nan=False)
@@ -409,19 +399,17 @@ def execute(config):
                 _check(f"--{name}", config.params[name], *interval[0],
                        integer=kind is int)
         columns, rows, summary = handler(config.params, config.seed)
-    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
-        if os.path.exists(csv_path):
-            os.remove(csv_path)
-        _write_report(config, json_path, error=str(exc))
-        raise
-
-    _write_report(config, json_path, columns=columns, rows=rows,
-                  summary=summary)
-    if config.write_csv:
         lines = [",".join(columns)]
         lines += [",".join(_fmt_cell(v) for v in row) for row in rows]
         with open(csv_path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
+        _write_report(config, json_path, summary=summary)
+    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
+        # isfile: os.remove raises on a directory in the CSV's place.
+        if os.path.isfile(csv_path):
+            os.remove(csv_path)
+        _write_report(config, json_path, error=str(exc))
+        raise
     return summary
 
 
@@ -444,8 +432,7 @@ def parse(argv):
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return RunConfig(command=f"{args.group}-{args.subcommand}",
-                     params=params, seed=args.seed, outdir=args.outdir,
-                     write_csv=args.csv)
+                     params=params, seed=args.seed, outdir=args.outdir)
 
 
 def main(argv=None):

@@ -47,13 +47,24 @@ def fidelity_opt(n, m):
     return (m * n + m + n) / (m * (n + 2))
 
 
+def _law_terms(mu_in, mu_out, q):
+    """Numerator and denominator of the amplifier fidelity; ValueError
+    where one overflows, as the ratio would read nan or 0.0 for 1/2."""
+    with np.errstate(over="ignore"):
+        core = q * mu_out * mu_in
+        terms = core + mu_out + mu_in, core + 2.0 * mu_out
+    if not np.isfinite(terms).all():
+        raise ValueError("the amplifier fidelity overflows")
+    return terms
+
+
 def fidelity_classical(mu_in, mu_out, q):
     """Amplifier fidelity at mean intensities (mu_in, mu_out), quality q."""
     _check("mu_in", mu_in, math.ulp(0.0))
     _check("mu_out", mu_out, mu_in)  # mu_out >= mu_in > 0
     _check("quality", q, 0.0, 1.0)
-    core = q * mu_out * mu_in
-    return (core + mu_out + mu_in) / (core + 2.0 * mu_out)
+    num, den = _law_terms(mu_in, mu_out, q)
+    return num / den
 
 
 def birth_process_exact(n, m):
@@ -144,6 +155,7 @@ def fit_q(data):
         warnings.warn("all records share one mu_in; the fit is degenerate",
                       stacklevel=2)
     mu_in, mu_out, fid = arr.T
+    _law_terms(mu_in, mu_out, 1.0)  # both grow with q: finite on [0, 1]
 
     def rss(q):
         core = q * mu_out * mu_in

@@ -97,10 +97,9 @@ class TestParse:
 
     def test_config_keys_normalised(self, tmp_path):
         cfg = cli.parse(["qkd", "sweep", "--config", write_config(
-            tmp_path, {"n_max": 12, "--d_min": 0.1, "csv": False})])
+            tmp_path, {"n_max": 12, "--d_min": 0.1})])
         assert cfg.params["n-max"] == 12
         assert cfg.params["d-min"] == 0.1
-        assert cfg.write_csv is False
 
     @pytest.mark.parametrize("values", [{"n": 2.7, "m": 5}, {"n": "x"}])
     def test_config_values_parsed_like_flags(self, tmp_path, values):
@@ -115,6 +114,14 @@ class TestParse:
         config = write_config(tmp_path, {"json": False})
         assert cli.main(args + ["--config", config]) == 1
         assert not (tmp_path / "clone-fidelity-0.json").exists()
+
+    def test_csv_table_cannot_be_switched_off(self, tmp_path):
+        args = ["clone", "fidelity", "--n", "1", "--m", "2",
+                "--outdir", str(tmp_path)]
+        assert cli.main(args + ["--no-csv"]) == 1
+        config = write_config(tmp_path, {"csv": False})
+        assert cli.main(args + ["--config", config]) == 1
+        assert not list(tmp_path.glob("clone-fidelity-0.*"))
 
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
@@ -161,6 +168,41 @@ class TestExitCodes:
                          "2", "--q", "1", "--outdir", str(tmp_path)]) == 1
         assert cli.main(["weak", "profile", "--dtau", "1", "--step", "0",
                          "--outdir", str(tmp_path)]) == 1
+
+    def test_unwritable_csv_leaves_error_report(self, tmp_path, capsys):
+        """A directory in the CSV's place fails the run, and the report
+        records that failure rather than a summary."""
+        (tmp_path / "clone-fidelity-0.csv").mkdir()
+        code, csv_path, json_path = run_cli(
+            ["clone", "fidelity", "--n", "1", "--m", "2"], tmp_path,
+            "clone-fidelity-0")
+        assert code == 1
+        assert csv_path.is_dir()
+        report = strict_json(json_path)
+        assert "summary" not in report
+        assert "clone-fidelity-0.csv" in report["error"]
+        assert "clone-fidelity-0.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["clone", "amplifier", "--mu-in", "1e160", "--mu-out", "1e160",
+         "--q", "1"],
+        ["clone", "amplifier", "--mu-in", "1", "--mu-out", "1e308",
+         "--q", "0"]])
+    def test_amplifier_overflow_is_one(self, tmp_path, capsys, args):
+        code, csv_path, json_path = run_cli(args, tmp_path,
+                                            "clone-amplifier-0")
+        assert code == 1 and not csv_path.exists()
+        assert "overflows" in strict_json(json_path)["error"]
+        assert "overflows" in capsys.readouterr().err
+
+    def test_overflowing_record_is_one(self, tmp_path, capsys):
+        path = tmp_path / "rec.csv"
+        path.write_text("mu_in,mu_out,fidelity\n1e200,2e200,0.9\n"
+                        "3e200,6e200,0.95\n5e200,1e201,0.97\n")
+        code, csv_path, _ = run_cli(["clone", "fit", "--input", str(path)],
+                                    tmp_path, "clone-fit-0")
+        assert code == 1 and not csv_path.exists()
+        assert "overflows" in capsys.readouterr().err
 
     def test_non_finite_record_is_one(self, tmp_path, capsys):
         path = tmp_path / "rec.csv"
@@ -267,7 +309,22 @@ class TestReports:
         assert code == 0
         report = strict_json(json_path)
         assert report["config"]["params"]["pdl-db"] == "inf"
-        assert report["rows"][0][4] == "inf"
+        header, row = [ln.split(",") for ln in
+                       json_path.with_suffix(".csv").read_text().splitlines()]
+        assert dict(zip(header, row))["pdl_db"] == "inf"
+
+    def test_report_holds_config_and_outcome_only(self, tmp_path):
+        """The table lives in the CSV alone; the report of a 6001-row
+        profile stays a short record of the run."""
+        code, csv_path, json_path = run_cli(
+            ["weak", "profile", "--dtau", "3"], tmp_path, "weak-profile-0")
+        assert code == 0
+        assert len(csv_path.read_text().splitlines()) > 1000
+        report = strict_json(json_path)
+        assert list(report) == ["tool", "version", "timestamp", "command",
+                                "config", "summary"]
+        assert list(report["config"]) == ["params", "seed", "outdir"]
+        assert json_path.stat().st_size < 4096
 
     def test_failure_report_has_success_layout(self, tmp_path):
         args = ["distill", "classical", "--trials", "10000"]
@@ -438,13 +495,6 @@ class TestDeterminism:
         assert (tmp_path / "clone-mc-5.csv").exists()
         report = json.loads((tmp_path / "clone-mc-5.json").read_text())
         assert report["config"]["seed"] == 5
-
-    def test_csv_flag_disables_table(self, tmp_path):
-        code = cli.main(["clone", "fidelity", "--n", "1", "--m", "2",
-                         "--no-csv", "--outdir", str(tmp_path)])
-        assert code == 0
-        assert not (tmp_path / "clone-fidelity-0.csv").exists()
-        assert (tmp_path / "clone-fidelity-0.json").exists()
 
     def test_full_precision_numbers(self, tmp_path):
         code, csv_path, _ = run_cli(

@@ -83,6 +83,16 @@ class TestFidelityClassical:
         with pytest.raises(ValueError):
             cloning.fidelity_classical(*args)
 
+    @pytest.mark.parametrize("args", [(1e160, 1e160, 1.0), (1.0, 1e308, 0.0)])
+    def test_overflow_rejected(self, args):
+        """q mu_out mu_in overflowing read nan; 2 mu_out overflowing read
+        0.0, where the law gives 1/2."""
+        with pytest.raises(ValueError, match="overflows"):
+            cloning.fidelity_classical(*args)
+
+    def test_bright_finite_terms_kept(self):
+        assert cloning.fidelity_classical(1e150, 1e151, 1.0) == 1.0
+
 
 class TestBirthProcess:
     def test_exact_small_cases(self):
@@ -204,6 +214,14 @@ class TestFitQ:
         data = cloning.generate_fidelity_dataset(0.8, [0.5, 2.0, 10.0])
         data[1, col] = value
         with pytest.raises(ValueError, match="finite"):
+            cloning.fit_q(data)
+
+    def test_overflowing_records_rejected(self):
+        """Residuals past q ~ 0 read nan, and the scan used to return a
+        made-up q_hat with rss = nan."""
+        data = np.array([[1e200, 2e200, 0.9], [3e200, 6e200, 0.95],
+                         [5e200, 1e201, 0.97]])
+        with pytest.raises(ValueError, match="overflows"):
             cloning.fit_q(data)
 
     def test_too_few_records(self):

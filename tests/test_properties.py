@@ -1,11 +1,16 @@
 """Property tests over randomly drawn inputs, with fixed example sets."""
 
+import json
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclink import cloning, qkd
+from qclink import cli, cloning, qkd
 from qclink import weakmeas as wm
 
 # Same examples every run, no example database, no per-example deadline.
@@ -84,3 +89,99 @@ def test_symbol_table_normalised_with_uniform_sender(d, eve, basis):
     assert table.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(table.sum(axis=(1, 2)), 0.5, rtol=0,
                                atol=1e-10)
+
+
+@PROPERTY
+@given(st.floats(0.0, 1.0),
+       st.lists(st.floats(0.5, 50.0), min_size=3, max_size=8, unique=True))
+def test_fit_recovers_quality_from_noiseless_records(q, mu_in):
+    """Golden-section search stops once its bracket is 1e-6 wide and
+    returns the midpoint, so the true Q lies within 1e-6."""
+    q_hat, _ = cloning.fit_q(cloning.generate_fidelity_dataset(q, mu_in))
+    assert abs(q_hat - q) <= 1e-6
+
+
+# Values for flags whose spec carries no interval: the edges of the
+# float range, zero, the infinities and NaN, plus moderate values of
+# either sign.
+SPECIAL = [0.0, math.ulp(0.0), 1e-300, 1e300, 1.7976931348623157e308,
+           math.inf, -math.inf, math.nan, -1.0]
+FREE_FLOAT = st.one_of(st.sampled_from(SPECIAL), st.floats(0.25, 4.0),
+                       st.floats(-4.0, -0.25))
+FREE_INT = st.one_of(st.integers(-3, 60), st.integers())
+# Upper ends for the flags that set a run's size, so that all examples
+# together take a few seconds; each stays inside its spec interval.
+SIZE_CAP = {"steps": 5, "points": 200, "m": 200, "trials": 20_000}
+REPORT_HEAD = ["tool", "version", "timestamp", "command", "config"]
+
+
+def _flag_values(spec):
+    """Strategy for {flag: value text} over a command's spec; an absent
+    optional flag keeps its default."""
+    draws = {}
+    for name, (kind, default, *interval) in spec.items():
+        if isinstance(kind, list):
+            value = st.sampled_from(kind)
+        elif kind is str:
+            value = st.sampled_from(["records.csv", "missing.csv"])
+        elif interval:
+            lo, hi = interval[0]
+            if kind is int:
+                value = st.integers(lo, min(hi, SIZE_CAP.get(name, hi)))
+            else:
+                value = st.floats(lo, hi)
+        else:
+            value = FREE_INT if kind is int else FREE_FLOAT
+        value = value.map(str)
+        draws[name] = value if default is cli._REQUIRED else \
+            st.one_of(st.none(), value)
+    return st.fixed_dictionaries(draws)
+
+
+CLI_RUN = st.sampled_from(sorted(cli.COMMANDS)).flatmap(
+    lambda key: st.tuples(st.just(key),
+                          _flag_values(cli.COMMANDS[key][1]),
+                          st.integers(0, 2 ** 64 - 1)))
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(CLI_RUN)
+def test_cli_runs_end_in_a_contract_exit_code(run):
+    """Any in-range flag set exits 0, 1 or 2 without a traceback. A run
+    that parsed leaves a strict-JSON report of its configuration and
+    either a summary next to its CSV or an error with no CSV."""
+    (group, sub), flags, seed = run
+    with tempfile.TemporaryDirectory() as outdir:
+        with open(os.path.join(outdir, "records.csv"), "w") as fh:
+            fh.write("mu_in,mu_out,fidelity\n0.5,5,0.8\n2,20,0.7\n"
+                     "10,100,0.9\n")
+        argv = [group, sub, "--seed", str(seed), "--outdir", outdir]
+        for name, value in flags.items():
+            if value is not None:
+                if name == "input":
+                    value = os.path.join(outdir, value)
+                argv.append(f"--{name}={value}")
+        try:
+            cli.parse(argv)
+        except cli.UsageError:
+            parsed = False
+        else:
+            parsed = True
+        code = cli.main(argv)
+        base = os.path.join(outdir, f"{group}-{sub}-{seed}")
+        if not parsed:
+            assert code == 1 and not os.path.exists(base + ".json")
+            return
+        assert code in (0, 1, 2)
+        report = _strict_json(base + ".json")
+        assert list(report["config"]) == ["params", "seed", "outdir"]
+        outcome = "summary" if code == 0 else "error"
+        assert list(report) == REPORT_HEAD + [outcome]
+        assert os.path.exists(base + ".csv") == (code == 0)
