@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -44,7 +45,14 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse parser whose errors surface as exit code 1, not 2."""
+    """argparse parser whose errors surface as exit code 1, not 2, and
+    that takes -1e-3 and -inf after a flag as its value, as argparse
+    already does -0.001."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-inf$")
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
@@ -287,7 +295,8 @@ COMMANDS = {
         "n": (int, _REQUIRED), "m": (int, _REQUIRED, (1, 10 ** 4)),
         "trials": (int, 100_000, (10 ** 4, cloning.BIRTH_MAX_TRIALS))}),
     ("clone", "mixture"): (cmd_clone_mixture, {
-        "mu-in": (float, _REQUIRED), "gain": (float, 10.0)}),
+        "mu-in": (float, _REQUIRED),
+        "gain": (float, 10.0, (1.0, cloning.MIXTURE_MAX_GAIN))}),
     ("clone", "fit"): (cmd_clone_fit, {"input": (str, _REQUIRED)}),
     ("weak", "toa"): (cmd_weak_toa, {
         "dtau": (float, _REQUIRED), **_PULSE_FLAGS}),

@@ -32,6 +32,9 @@ from ._checks import check as _check
 BIRTH_MAX_TRIALS = 10 ** 7
 # Largest trials * (m - n) birth_process_mc accepts: about 1.3 s of steps.
 BIRTH_MAX_TRIAL_STEPS = 10 ** 8
+# Largest gain poisson_mixture_fidelity accepts: gain times the largest
+# photon number it keeps (108 at mu_in = 50) stays an exact integer.
+MIXTURE_MAX_GAIN = 1e12
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -95,10 +98,15 @@ def birth_process_mc(n, m, trials, seed=0):
             f"budget of {BIRTH_MAX_TRIAL_STEPS} trial-steps")
     rng = np.random.default_rng(seed)
     n_sig = np.full(trials, n, dtype=np.int64)
+    # One set of step buffers for the whole chain: fresh temporaries of
+    # this size would be mapped and page-faulted again on every step.
+    u, p, grow = np.empty(trials), np.empty(trials), np.empty(trials, bool)
     for total in range(n, m):
-        grow = rng.random(trials) < (n_sig + 1) / (total + 2)
-        n_sig += grow
-    samples = n_sig / m
+        rng.random(out=u)
+        np.add(n_sig, 1, out=p)
+        np.divide(p, total + 2, out=p)
+        n_sig += np.less(u, p, out=grow)
+    samples = np.divide(n_sig, m, out=p)
     se = samples.std(ddof=1) / np.sqrt(trials) if m > n else 0.0
     return float(samples.mean()), float(se)
 
@@ -113,7 +121,7 @@ def poisson_mixture_fidelity(mu_in, gain):
     identity between the two is implied.
     """
     _check("mu_in", mu_in, math.ulp(0.0), 50.0)
-    _check("gain", gain, 1.0)
+    _check("gain", gain, 1.0, MIXTURE_MAX_GAIN)
     # Poisson weights p_k = p_{k-1} mu / k, up to one term past the first
     # k whose cumulative weight reaches 1 - 1e-12.
     pmf = [math.exp(-mu_in)]

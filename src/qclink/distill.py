@@ -20,8 +20,10 @@ support is full. One vectorised pass covers a whole range of block
 sizes, and ad_min_block evaluates the ranges 1, 2-3, 4-7, 8-15, 16-31
 and 32-64 in turn, stopping at the first with positive advantage. The
 Monte Carlo harness refuses more than MC_MAX_TRIAL_SYMBOLS trial-symbols
-before it allocates anything, and draws the symbols MC_CHUNK_SYMBOLS at a
-time, so it holds one chunk plus 16 bytes per trial.
+before it allocates anything and draws the symbols MC_CHUNK_SYMBOLS at a
+time. It accepts or rejects each block from its raw uniforms and decodes
+only the accepted blocks, so it holds one chunk plus 8 bytes per accepted
+trial.
 
 Quantum route: the standard two-pair recurrence step at the fidelity
 level, F' = (F^2 + ((1-F)/3)^2) / (F^2 + 2F(1-F)/3 + 5((1-F)/3)^2),
@@ -47,8 +49,8 @@ MAX_BLOCK = 64
 ADVANTAGE_EPS = 1e-12
 # Largest trials * n that ad_monte_carlo accepts: 1-3 s of sampling.
 MC_MAX_TRIAL_SYMBOLS = 10 ** 7
-# Trial-symbols ad_monte_carlo draws at a time: its (trials, n) int64
-# arrays hold about 50 bytes per trial-symbol, so a chunk takes ~3 MB.
+# Trial-symbols ad_monte_carlo draws at a time: its (trials, n) arrays
+# hold up to about 50 bytes per trial-symbol, so a chunk takes ~3 MB.
 MC_CHUNK_SYMBOLS = 1 << 16
 # Block sizes that ad_min_block evaluates together, smallest first, so a
 # point that stops at a small block never pays for the large ones.
@@ -203,9 +205,12 @@ def ad_monte_carlo(dist, n, trials, seed=0):
 
     Simulates the full protocol (random secret bit, random announcements)
     and estimates Eve's information from her exact per-block posterior,
-    so the estimator is unbiased for the ad_exact quantities. Identical
-    (seed, trials) reproduce the outcome bit for bit, and the chunked draw
-    gives the outcome of one Generator.choice over all trials.
+    so the estimator is unbiased for the ad_exact quantities. A block's
+    errors are counted from its uniforms alone; only accepted blocks are
+    inverted into symbols and scored against a table of Eve's
+    per-symbol log-likelihoods. Identical (seed, trials) reproduce the
+    outcome bit for bit, and the chunked draw gives the outcome of one
+    Generator.choice over all trials.
     """
     n = _check("block size", n, 1, MAX_BLOCK, integer=True)
     trials = _check("trials", trials, 10 ** 4, math.inf, integer=True)
@@ -217,39 +222,41 @@ def ad_monte_carlo(dist, n, trials, seed=0):
     ne = t.shape[2]
     # The stream of Generator.choice(p=table) followed by integers(0, 2):
     # one uniform double a symbol, inverted through the table's CDF, then
-    # the secret bits. The bits are drawn first from a copy of the bit
-    # generator advanced past all trials * n doubles, so the symbols can
-    # be drawn chunk by chunk.
+    # the secret bits. The bits come from a second generator advanced past
+    # all trials * n doubles, so both streams can be drawn chunk by chunk.
     cdf = t.ravel().cumsum()
     cdf /= cdf[-1]
     rng = np.random.Generator(np.random.PCG64(seed))
-    c = np.random.Generator(np.random.PCG64(seed).advance(trials * n)) \
-        .integers(0, 2, size=trials)
+    bits = np.random.Generator(np.random.PCG64(seed).advance(trials * n))
+    # Symbol i = (2a + b) ne + e and the CDF never decreases, so a != b
+    # exactly when cdf[ne - 1] <= u < cdf[3 ne - 1].
+    err_lo, err_hi = cdf[ne - 1], cdf[3 * ne - 1]
+    # logq[c, k, m ne + e] = log P(a=m^c, b=m^c^k, e): Eve's log-likelihood
+    # of one announced-and-deXORed symbol m under hypothesis (c, k).
     with np.errstate(divide="ignore"):
         logt = np.log(t)
+    m = np.arange(2)[:, None]
+    logq = np.array([[logt[m ^ c_hyp, m ^ c_hyp ^ k].ravel()
+                      for k in (0, 1)] for c_hyp in (0, 1)])
     chunk = max(MC_CHUNK_SYMBOLS // n, 1)
     n_acc = n_wrong = 0
     h_parts = []
     for lo in range(0, trials, chunk):
-        idx = cdf.searchsorted(rng.random((min(chunk, trials - lo), n)),
-                               side="right")
-        e = idx % ne
-        b = (idx // ne) % 2
-        a = idx // (2 * ne)
-        err = a ^ b
-        accept = (err == err[:, :1]).all(axis=1)
+        rows = min(chunk, trials - lo)
+        u = rng.random((rows, n))
+        c = bits.integers(0, 2, size=rows)
+        n_err = ((err_lo <= u) & (u < err_hi)).sum(axis=1)
+        accept = (n_err == 0) | (n_err == n)
         n_acc += int(accept.sum())
-        n_wrong += int((accept & (err[:, 0] == 1)).sum())
+        n_wrong += int((n_err == n).sum())
 
         # Eve's posterior for each accepted block from the known model.
-        m = (a ^ c[lo:lo + chunk, None])[accept]
-        e_acc = e[accept]
-        logw = np.empty((2, 2, m.shape[0]))
+        idx = cdf.searchsorted(u[accept], side="right")
+        code = ((idx // (2 * ne)) ^ c[accept, None]) * ne + idx % ne
+        logw = np.empty((2, 2, code.shape[0]))
         for c_hyp in (0, 1):
             for k in (0, 1):
-                aa = m ^ c_hyp
-                bb = aa ^ k
-                logw[c_hyp, k] = logt[aa, bb, e_acc].sum(axis=1)
+                logw[c_hyp, k] = logq[c_hyp, k][code].sum(axis=1)
         logw_c = np.logaddexp(logw[:, 0], logw[:, 1])
         h_parts.append(_h2_vec(
             np.exp(logw_c[0] - np.logaddexp(logw_c[0], logw_c[1]))))

@@ -28,7 +28,8 @@ def write_config(tmp_path, values):
 # Valid values of each command's required flags.
 REQUIRED_ARGS = {"distill-classical": ["--d", "0.2"],
                  "distill-quantum": ["--f0", "0.7"],
-                 "clone-mc": ["--n", "1", "--m", "3"]}
+                 "clone-mc": ["--n", "1", "--m", "3"],
+                 "clone-mixture": ["--mu-in", "5"]}
 
 
 def out_of_range_cases():
@@ -64,6 +65,14 @@ class TestParse:
         assert cfg.params["steps"] == 81
         assert cfg.params["n-max"] == 30
         assert cfg.seed == 0
+
+    @pytest.mark.parametrize("text, value", [
+        ("-1e-3", -1e-3), ("-2.5E+2", -250.0), ("-.5e1", -5.0), ("-7.", -7.0),
+        ("-inf", -math.inf), ("-0.001", -0.001)])
+    def test_negative_value_after_a_space(self, text, value):
+        for args in (["--theta-pre", text], [f"--theta-pre={text}"]):
+            cfg = cli.parse(["weak", "toa", "--dtau", "0.5", *args])
+            assert cfg.params["theta-pre"] == value
 
     def test_unknown_command_exits_one(self, capsys):
         assert cli.main(["warp", "drive"]) == 1
@@ -194,6 +203,16 @@ class TestExitCodes:
         assert code == 1 and not csv_path.exists()
         assert "overflows" in strict_json(json_path)["error"]
         assert "overflows" in capsys.readouterr().err
+
+    def test_mixture_gain_past_its_interval_is_one(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, csv_path, json_path = run_cli(
+                ["clone", "mixture", "--mu-in", "5", "--gain", "1e308"],
+                tmp_path, "clone-mixture-0")
+        assert code == 1 and not csv_path.exists()
+        assert "--gain" in strict_json(json_path)["error"]
+        assert "--gain" in capsys.readouterr().err
 
     def test_overflowing_record_is_one(self, tmp_path, capsys):
         path = tmp_path / "rec.csv"

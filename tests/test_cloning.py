@@ -94,6 +94,18 @@ class TestFidelityClassical:
         assert cloning.fidelity_classical(1e150, 1e151, 1.0) == 1.0
 
 
+def birth_mc_by_steps(n, m, trials, seed):
+    """The birth chain advanced one step at a time with fresh arrays: the
+    oracle for cloning.birth_process_mc."""
+    rng = np.random.default_rng(seed)
+    n_sig = np.full(trials, n, dtype=np.int64)
+    for total in range(n, m):
+        n_sig += rng.random(trials) < (n_sig + 1) / (total + 2)
+    samples = n_sig / m
+    se = samples.std(ddof=1) / np.sqrt(trials) if m > n else 0.0
+    return float(samples.mean()), float(se)
+
+
 class TestBirthProcess:
     def test_exact_small_cases(self):
         assert cloning.birth_process_exact(1, 2) == pytest.approx(5 / 6,
@@ -119,6 +131,13 @@ class TestBirthProcess:
                 mean, se = cloning.birth_process_mc(n, m, trials=100_000,
                                                     seed=n * 10 + m)
                 assert abs(mean - cloning.fidelity_opt(n, m)) <= 3 * se
+
+    @pytest.mark.parametrize("n, m, trials, seed", [
+        (1, 2, 10_000, 0), (3, 3, 10_000, 1), (2, 41, 33_333, 7),
+        (5, 400, 20_000, 12)])
+    def test_matches_step_by_step_oracle(self, n, m, trials, seed):
+        assert cloning.birth_process_mc(n, m, trials, seed) == \
+            birth_mc_by_steps(n, m, trials, seed)
 
     def test_deterministic_per_seed(self):
         a = cloning.birth_process_mc(1, 5, trials=10_000, seed=9)
@@ -165,9 +184,16 @@ class TestPoissonMixture:
             cloning.poisson_mixture_fidelity(5.0, 0.5)
         with pytest.raises(ValueError):
             cloning.poisson_mixture_fidelity(5.0, np.inf)
+        # gain * n would overflow to inf before round(gain n) is taken
+        with pytest.raises(ValueError, match="gain"):
+            cloning.poisson_mixture_fidelity(5.0, 1e308)
+        with pytest.raises(ValueError, match="gain"):
+            cloning.poisson_mixture_fidelity(
+                5.0, np.nextafter(cloning.MIXTURE_MAX_GAIN, np.inf))
 
     @pytest.mark.parametrize("mu", [0.1, 1.0, 5.0, 17.3, 50.0])
-    @pytest.mark.parametrize("gain", [1.0, 2.5, 10.0])
+    @pytest.mark.parametrize("gain", [1.0, 2.5, 10.0,
+                                      cloning.MIXTURE_MAX_GAIN])
     def test_matches_scipy_weighted_formula(self, mu, gain):
         ns = np.arange(1, int(poisson.ppf(1.0 - 1e-12, mu)) + 2)
         weights = poisson.pmf(ns, mu)

@@ -256,7 +256,17 @@ class TestAdMonteCarlo:
         (qkd.HELSTROM_BINARY, 0.12, 3, 50_001),
         (qkd.HELSTROM_BINARY, 0.3, 8, 200_000),
         (qkd.SQUARE_ROOT_4, 0.04, 48, 50_000),
-        (qkd.SQUARE_ROOT_4, 0.02, 64, 20_000)])
+        (qkd.SQUARE_ROOT_4, 0.02, 64, 20_000),
+        # D = 0: the a != b cells are zero, so the CDF repeats its values
+        # at both edges of the error test and every block is accepted.
+        (qkd.HELSTROM_BINARY, 0.0, 64, 10_000),
+        (qkd.SQUARE_ROOT_4, 0.0, 7, 10_000),
+        # square-root measurement at small D: zero cells inside each half.
+        (qkd.SQUARE_ROOT_4, 0.01, 8, 20_000),
+        # high D, small n: all-error blocks are accepted, and at n = 1
+        # every block is.
+        (qkd.HELSTROM_BINARY, 0.45, 1, 70_000),
+        (qkd.HELSTROM_BINARY, 0.45, 3, 30_000)])
     def test_chunked_draw_matches_one_shot(self, eve, d, n, trials):
         assert trials * n > distill.MC_CHUNK_SYMBOLS  # spans several chunks
         dist = dist_at(d, eve)

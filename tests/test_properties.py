@@ -151,32 +151,41 @@ def _strict_json(path):
         return json.load(fh, parse_constant=reject)
 
 
+def _parsed(argv):
+    """cli.parse's RunConfig for argv, or None for a usage error."""
+    try:
+        return cli.parse(argv)
+    except cli.UsageError:
+        return None
+
+
 @settings(PROPERTY, max_examples=200)
-@given(CLI_RUN)
-def test_cli_runs_end_in_a_contract_exit_code(run):
+@given(CLI_RUN, st.booleans())
+def test_cli_runs_end_in_a_contract_exit_code(run, spaced):
     """Any in-range flag set exits 0, 1 or 2 without a traceback. A run
     that parsed leaves a strict-JSON report of its configuration and
-    either a summary next to its CSV or an error with no CSV."""
+    either a summary next to its CSV or an error with no CSV. A flag
+    passed as `--name value`, negative values included, parses as
+    `--name=value` does."""
     (group, sub), flags, seed = run
     with tempfile.TemporaryDirectory() as outdir:
         with open(os.path.join(outdir, "records.csv"), "w") as fh:
             fh.write("mu_in,mu_out,fidelity\n0.5,5,0.8\n2,20,0.7\n"
                      "10,100,0.9\n")
         argv = [group, sub, "--seed", str(seed), "--outdir", outdir]
+        joined = list(argv)
         for name, value in flags.items():
             if value is not None:
                 if name == "input":
                     value = os.path.join(outdir, value)
-                argv.append(f"--{name}={value}")
-        try:
-            cli.parse(argv)
-        except cli.UsageError:
-            parsed = False
-        else:
-            parsed = True
+                joined.append(f"--{name}={value}")
+                argv += [f"--{name}", value] if spaced else joined[-1:]
+        config = _parsed(argv)
+        # repr, as a NaN parameter never equals itself
+        assert repr(config) == repr(_parsed(joined))
         code = cli.main(argv)
         base = os.path.join(outdir, f"{group}-{sub}-{seed}")
-        if not parsed:
+        if config is None:
             assert code == 1 and not os.path.exists(base + ".json")
             return
         assert code in (0, 1, 2)
