@@ -107,14 +107,10 @@ def cmd_qkd_sweep(params, seed):
 
 
 def cmd_qkd_thresholds(params, seed):
-    summary = {}
-    rows = []
-    for kind in qkd.THRESHOLD_KINDS:
-        value = qkd.threshold(kind, tol=params["tol"],
-                              eve_measurement=params["eve"])
-        summary[kind] = value
-        rows.append([kind, value])
-    return ["kind", "critical_disturbance"], rows, summary
+    summary = {kind: qkd.threshold(kind, tol=params["tol"],
+                                   eve_measurement=params["eve"])
+               for kind in qkd.THRESHOLD_KINDS}
+    return ["kind", "critical_disturbance"], summary.items(), summary
 
 
 def cmd_distill_classical(params, seed):
@@ -251,8 +247,7 @@ def cmd_weak_profile(params, seed):
                                           _post_element(params)])
     t = wm.default_time_grid(field, step=params["step"], span=params["span"])
     profile = field.intensity(t)
-    rows = [[float(ti), float(ix), float(iy), float(ix + iy)]
-            for ti, (ix, iy) in zip(t, profile)]
+    rows = zip(t, profile[:, 0], profile[:, 1], profile.sum(axis=1))
     summary = {"energy": field.energy(),
                "peak_separation": wm.peak_separation(field, t)}
     try:
@@ -408,10 +403,10 @@ def execute(config):
                 _check(f"--{name}", config.params[name], *interval[0],
                        integer=kind is int)
         columns, rows, summary = handler(config.params, config.seed)
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt_cell(v) for v in row) for row in rows]
         with open(csv_path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(",".join(map(_fmt_cell, row)) + "\n"
+                          for row in rows)
         _write_report(config, json_path, summary=summary)
     except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         # isfile: os.remove raises on a directory in the CSV's place.

@@ -22,8 +22,7 @@ and 32-64 in turn, stopping at the first with positive advantage. The
 Monte Carlo harness refuses more than MC_MAX_TRIAL_SYMBOLS trial-symbols
 before it allocates anything and draws the symbols MC_CHUNK_SYMBOLS at a
 time. It accepts or rejects each block from its raw uniforms and decodes
-only the accepted blocks, so it holds one chunk plus 8 bytes per accepted
-trial.
+only the accepted blocks, so it holds one chunk plus 8 bytes per trial.
 
 Quantum route: the standard two-pair recurrence step at the fidelity
 level, F' = (F^2 + ((1-F)/3)^2) / (F^2 + 2F(1-F)/3 + 5((1-F)/3)^2),
@@ -40,7 +39,7 @@ import numpy as np
 from . import qcore
 from ._checks import check as _check
 from .qkd import (HELSTROM_BINARY, AttackParams, binary_entropy, error_rate,
-                  mutual_information, rho_ab, symbol_distribution)
+                  mutual_information, pair_criteria, symbol_distribution)
 
 MAX_BLOCK = 64
 # Smallest block advantage counted as real. Near the critical disturbance
@@ -240,14 +239,14 @@ def ad_monte_carlo(dist, n, trials, seed=0):
                       for k in (0, 1)] for c_hyp in (0, 1)])
     chunk = max(MC_CHUNK_SYMBOLS // n, 1)
     n_acc = n_wrong = 0
-    h_parts = []
+    h = np.empty(trials)  # Eve's entropy of each accepted block
     for lo in range(0, trials, chunk):
         rows = min(chunk, trials - lo)
         u = rng.random((rows, n))
         c = bits.integers(0, 2, size=rows)
         n_err = ((err_lo <= u) & (u < err_hi)).sum(axis=1)
         accept = (n_err == 0) | (n_err == n)
-        n_acc += int(accept.sum())
+        start, n_acc = n_acc, n_acc + int(accept.sum())
         n_wrong += int((n_err == n).sum())
 
         # Eve's posterior for each accepted block from the known model.
@@ -258,8 +257,8 @@ def ad_monte_carlo(dist, n, trials, seed=0):
             for k in (0, 1):
                 logw[c_hyp, k] = logq[c_hyp, k][code].sum(axis=1)
         logw_c = np.logaddexp(logw[:, 0], logw[:, 1])
-        h_parts.append(_h2_vec(
-            np.exp(logw_c[0] - np.logaddexp(logw_c[0], logw_c[1]))))
+        h[start:n_acc] = _h2_vec(
+            np.exp(logw_c[0] - np.logaddexp(logw_c[0], logw_c[1])))
     if n_acc == 0:
         raise RuntimeError(
             f"no accepted blocks in {trials} trials at block size {n}; "
@@ -269,9 +268,14 @@ def ad_monte_carlo(dist, n, trials, seed=0):
     se_p_acc = np.sqrt(p_acc * (1.0 - p_acc) / trials)
     eps_post = n_wrong / n_acc
     se_eps_post = np.sqrt(eps_post * (1.0 - eps_post) / n_acc)
-    h_vals = np.concatenate(h_parts)
-    i_ae = 1.0 - float(h_vals.mean())
-    se_i_ae = float(h_vals.std(ddof=1) / np.sqrt(n_acc)) if n_acc > 1 else 0.0
+    h = h[:n_acc]
+    mean = h.mean()
+    i_ae = 1.0 - float(mean)
+    # h.std(ddof=1) bit for bit, with the deviations taken in place.
+    np.subtract(h, mean, out=h)
+    np.multiply(h, h, out=h)
+    se_i_ae = (math.sqrt(h.sum() / (n_acc - 1)) / math.sqrt(n_acc)
+               if n_acc > 1 else 0.0)
 
     return AdMonteCarloOutcome(
         block_size=n, p_accept=p_acc, eps_post=eps_post,
@@ -374,20 +378,18 @@ class EquivalenceRow:
 def equivalence_sweep(d_grid, n_max=30, eve_measurement=HELSTROM_BINARY,
                       basis="z"):
     """Per-disturbance table of the pair state's entanglement, CHSH value
-    and singlet fidelity, the one-copy informations in the given basis and
-    the smallest distillable block size. n_max=None skips the block scan
-    and leaves ad_min_block None."""
+    and singlet fidelity (closed forms, qkd.pair_criteria), the one-copy
+    informations in the given basis and the smallest distillable block
+    size. n_max=None skips the block scan and leaves ad_min_block None."""
     rows = []
     for d in np.asarray(d_grid, dtype=float):
         d = float(d)
         dist = symbol_distribution(
             AttackParams(d, eve_measurement=eve_measurement), basis)
-        rho = rho_ab(d)
-        entangled, lo = qcore.is_entangled(rho)
+        lo, chsh, fidelity = pair_criteria(d)
         rows.append(EquivalenceRow(
-            d=d, entangled=entangled, min_pt_eigenvalue=lo,
-            chsh=qcore.chsh_max(rho),
-            singlet_fidelity=qcore.singlet_fidelity(rho),
+            d=d, entangled=lo < -qcore.PPT_MARGIN, min_pt_eigenvalue=lo,
+            chsh=chsh, singlet_fidelity=fidelity,
             i_ab=mutual_information(dist, "ab"),
             i_ae=mutual_information(dist, "ae"),
             ad_min_block=None if n_max is None

@@ -15,6 +15,7 @@ TRACE_ATOL = 1e-10
 HERM_ATOL = 1e-10
 EIG_ATOL = 1e-10
 WEIGHT_ATOL = 1e-12
+PPT_MARGIN = 1e-9  # entangled: partial-transpose eigenvalue below -margin
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -95,36 +96,28 @@ def is_entangled(rho):
     """PPT test for a two-qubit state.
 
     Returns (flag, min_eigenvalue) where flag is True iff the smallest
-    eigenvalue of the partial transpose is below -1e-9. Necessary and
-    sufficient in dimension 2x2.
+    eigenvalue of the partial transpose is below -PPT_MARGIN. Necessary
+    and sufficient in dimension 2x2.
     """
     rho = check_density_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError("entanglement test is defined for two qubits")
     lo = float(np.linalg.eigvalsh(partial_transpose(rho))[0])
-    return lo < -1e-9, lo
-
-
-def correlation_tensor(rho):
-    """3x3 matrix T_ij = Tr(rho sigma_i x sigma_j)."""
-    rho = np.asarray(rho, dtype=complex)
-    t = np.empty((3, 3))
-    for i, si in enumerate(PAULIS):
-        for j, sj in enumerate(PAULIS):
-            t[i, j] = np.trace(rho @ np.kron(si, sj)).real
-    return t
+    return lo < -PPT_MARGIN, lo
 
 
 def chsh_max(rho):
     """Largest CHSH value reachable with projective measurements on rho.
 
     Equals 2*sqrt(u1 + u2) with u1, u2 the two largest eigenvalues of
-    T^T T; the state violates the inequality iff the value exceeds 2.
+    T^T T, T_ij = Tr(rho sigma_i x sigma_j); the state violates the
+    inequality iff the value exceeds 2.
     """
     rho = check_density_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError("CHSH value is defined for two qubits")
-    t = correlation_tensor(rho)
+    t = np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in PAULIS]
+                  for si in PAULIS])
     u = np.linalg.eigvalsh(t.T @ t)
     return float(2.0 * np.sqrt(max(u[-1] + u[-2], 0.0)))
 

@@ -9,7 +9,8 @@ she measures each probe individually, either with the optimal binary
 measurement on her conditional probe states. The module derives the
 post-sifting classical distribution P(A, B, E), the mutual informations,
 and the critical disturbances for one-way key extraction, CHSH violation
-and entanglement.
+and entanglement; the pair state's criteria are closed forms in its four
+Bell weights, so no density matrix is built.
 """
 
 import math
@@ -23,6 +24,10 @@ from ._checks import check as _check
 HELSTROM_BINARY = "helstrom_binary"
 SQUARE_ROOT_4 = "square_root_4"
 EVE_MEASUREMENTS = (HELSTROM_BINARY, SQUARE_ROOT_4)
+
+# Tr(B sigma_i x sigma_i) for i = x, y, z (rows) and each Bell state B.
+_BELL_CORRELATIONS = np.array([[1, -1, 1, -1], [-1, 1, 1, -1],
+                               [1, 1, -1, -1]])
 
 BASES = ("z", "x")
 _BASIS_KETS = {
@@ -76,6 +81,17 @@ def bell_weights(d):
     return np.array([(1 - d) ** 2, d * (1 - d), d * (1 - d), d ** 2])
 
 
+def pair_criteria(d):
+    """(min_pt_eigenvalue, chsh, singlet_fidelity) of the pair state at
+    disturbance d from its Bell weights lam: 1/2 - max lam (Peres 1996),
+    2 sqrt(u1 + u2) over the two largest squared correlations
+    Tr(rho sigma_i x sigma_i) (Horodecki 1995), and lam_0."""
+    lam = bell_weights(d)
+    u = np.sort((_BELL_CORRELATIONS @ lam) ** 2)
+    return (float(0.5 - lam.max()), float(2.0 * np.sqrt(u[2] + u[1])),
+            float(lam[0]))
+
+
 def attack_state(params):
     """Three-party pure state sum_i sqrt(lam_i) |Bell_i>_AB |e_i>_E.
 
@@ -83,17 +99,7 @@ def attack_state(params):
     index. Tracing out Eve returns the Bell-diagonal pair state.
     """
     lam = bell_weights(params.disturbance)
-    psi = np.zeros(16, dtype=complex)
-    for i, (w, bell) in enumerate(zip(lam, qcore.BELL_BASIS)):
-        probe = np.zeros(4, dtype=complex)
-        probe[i] = 1.0
-        psi += np.sqrt(w) * np.kron(bell, probe)
-    return psi
-
-
-def rho_ab(d):
-    """Pair state seen by the partners at disturbance d."""
-    return qcore.bell_diagonal(bell_weights(d))
+    return (np.array(qcore.BELL_BASIS).T * np.sqrt(lam)).ravel()
 
 
 def conditional_probes(psi_abe, basis="z"):
@@ -248,8 +254,9 @@ def threshold(kind, tol=1e-6, eve_measurement=HELSTROM_BINARY):
 
     kind "one_way": I(A;B) = I(A;E) under the chosen Eve measurement;
     kind "chsh": maximal CHSH value of the pair state crosses 2;
-    kind "entanglement": smallest partial-transpose eigenvalue crosses 0.
-    The returned midpoint brackets the root within tol.
+    kind "entanglement": smallest partial-transpose eigenvalue crosses 0;
+    both read pair_criteria. The returned midpoint brackets the root
+    within tol.
     """
     if kind not in THRESHOLD_KINDS:
         raise ValueError(f"kind must be one of {THRESHOLD_KINDS}, got {kind!r}")
@@ -262,10 +269,10 @@ def threshold(kind, tol=1e-6, eve_measurement=HELSTROM_BINARY):
             return mutual_information(dist, "ab") - mutual_information(dist, "ae")
     elif kind == "chsh":
         def f(d):
-            return qcore.chsh_max(rho_ab(d)) - 2.0
+            return pair_criteria(d)[1] - 2.0
     else:
         def f(d):
-            return -qcore.is_entangled(rho_ab(d))[1]
+            return -pair_criteria(d)[0]
 
     lo, hi = 0.0, 0.5
     flo, fhi = f(lo), f(hi)

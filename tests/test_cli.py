@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -344,6 +345,22 @@ class TestReports:
                                 "config", "summary"]
         assert list(report["config"]) == ["params", "seed", "outdir"]
         assert json_path.stat().st_size < 4096
+
+    def test_rows_stream_to_the_csv(self, tmp_path):
+        """A 2e5-row profile is written row by row: holding its rows as
+        lists and the CSV as one string would take about 94 MB."""
+        tracemalloc.start()
+        try:
+            code, csv_path, _ = run_cli(
+                ["weak", "profile", "--dtau", "3", "--step", "7.5e-5"],
+                tmp_path, "weak-profile-0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        with open(csv_path) as fh:
+            assert sum(1 for _ in fh) > 200_000
+        assert peak < 40 * 2 ** 20
 
     def test_failure_report_has_success_layout(self, tmp_path):
         args = ["distill", "classical", "--trials", "10000"]

@@ -290,6 +290,18 @@ class TestAdMonteCarlo:
             tracemalloc.stop()
         assert peak < 20 * 2 ** 20
 
+    def test_entropies_held_once(self):
+        # n = 1 accepts every block, so Eve's entropies take 8 MB at 1e6
+        # trials; a list of them, its concatenation and a deviation
+        # temporary would each add 8 MB more
+        tracemalloc.start()
+        try:
+            distill.ad_monte_carlo(dist_at(0.2), 1, trials=1_000_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
+
     def test_agreement_with_exact(self):
         # 1e6 trials so the rare high-entropy blocks that dominate Eve's
         # residual uncertainty at (d, n) = (0.3, 8) are actually sampled
@@ -438,8 +450,9 @@ class TestEquivalenceSweep:
         low, high = rows
         assert low.entangled and low.ad_min_block == 1
         assert not high.entangled and high.ad_min_block is None
-        assert low.chsh == pytest.approx(qcore.chsh_max(qkd.rho_ab(0.05)),
-                                         abs=1e-12)
+        assert low.chsh == pytest.approx(
+            qcore.chsh_max(qcore.bell_diagonal(qkd.bell_weights(0.05))),
+            abs=1e-12)
         dist = dist_at(0.05)
         assert low.i_ab == pytest.approx(qkd.mutual_information(dist, "ab"),
                                          abs=1e-12)
@@ -448,15 +461,29 @@ class TestEquivalenceSweep:
 
     def test_boundary_row(self):
         row = distill.equivalence_sweep([1 - 1 / np.sqrt(2)], n_max=4)[0]
-        assert abs(qcore.is_entangled(qkd.rho_ab(row.d))[1]) <= 1e-9
+        rho = qcore.bell_diagonal(qkd.bell_weights(row.d))
+        assert abs(qcore.is_entangled(rho)[1]) <= 1e-9
+
+    def test_entangled_needs_the_ppt_margin(self):
+        edge = 1 - 1 / np.sqrt(2)
+        inside, past = distill.equivalence_sweep([edge - 4e-10, edge - 1e-8],
+                                                 n_max=None)
+        assert -qcore.PPT_MARGIN < inside.min_pt_eigenvalue < 0.0
+        assert not inside.entangled
+        assert past.min_pt_eigenvalue < -qcore.PPT_MARGIN and past.entangled
 
     @pytest.mark.parametrize("basis", qkd.BASES)
     def test_pair_state_columns(self, basis):
         for row in distill.equivalence_sweep([0.0, 0.1, 0.3], n_max=None,
                                              eve_measurement=qkd.SQUARE_ROOT_4,
                                              basis=basis):
-            rho = qkd.rho_ab(row.d)
-            assert row.min_pt_eigenvalue == qcore.is_entangled(rho)[1]
+            pair = (row.min_pt_eigenvalue, row.chsh, row.singlet_fidelity)
+            assert pair == qkd.pair_criteria(row.d)
+            # The eigen route on the density matrix is the oracle.
+            rho = qcore.bell_diagonal(qkd.bell_weights(row.d))
+            oracle = (qcore.is_entangled(rho)[1], qcore.chsh_max(rho),
+                      qcore.singlet_fidelity(rho))
+            assert np.max(np.abs(np.subtract(pair, oracle))) <= 2e-15
             assert row.singlet_fidelity == pytest.approx(
                 (1 - row.d) ** 2, abs=1e-12)
             dist = qkd.symbol_distribution(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclink import cli, cloning, qkd
+from qclink import cli, cloning, qcore, qkd
 from qclink import weakmeas as wm
 
 # Same examples every run, no example database, no per-example deadline.
@@ -37,6 +37,22 @@ def birth_exact_by_dict(n, m):
     lambda n: st.tuples(st.just(n), st.integers(n, 200))))
 def test_birth_chain_matches_dict_enumeration(nm):
     assert cloning.birth_process_exact(*nm) == birth_exact_by_dict(*nm)
+
+
+@PROPERTY
+@given(st.floats(0.0, 0.5))
+def test_pair_criteria_match_the_eigen_route(d):
+    """The closed forms agree with the partial-transpose, correlation-
+    tensor and overlap routes on the density matrix, and so does the
+    entanglement flag wherever the eigenvalue clears the margin."""
+    lo, chsh, fidelity = qkd.pair_criteria(d)
+    rho = qcore.bell_diagonal(qkd.bell_weights(d))
+    entangled, lo_eig = qcore.is_entangled(rho)
+    assert abs(lo - lo_eig) <= 2e-15
+    assert abs(chsh - qcore.chsh_max(rho)) <= 2e-15
+    assert abs(fidelity - qcore.singlet_fidelity(rho)) <= 2e-15
+    if abs(lo_eig) > 1e-9:
+        assert (lo < -qcore.PPT_MARGIN) == entangled
 
 
 ANGLE = st.floats(0.0, np.pi)

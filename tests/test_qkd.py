@@ -55,11 +55,31 @@ class TestAttackState:
                 p_err += abs(amp) ** 2
         assert p_err == pytest.approx(d, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [0.0, 0.1, 0.37, 0.5])
+    def test_amplitudes_equal_bell_probe_sum(self, d):
+        psi = np.zeros(16, dtype=complex)
+        for i, (w, bell) in enumerate(zip(qkd.bell_weights(d),
+                                          qcore.BELL_BASIS)):
+            psi += np.sqrt(w) * np.kron(bell, np.eye(4)[i])
+        assert np.array_equal(qkd.attack_state(qkd.AttackParams(d)), psi)
+
     def test_disturbance_range(self):
         with pytest.raises(ValueError):
             qkd.AttackParams(0.6)
         with pytest.raises(ValueError):
             qkd.AttackParams(0.1, eve_measurement="guess")
+
+
+class TestPairCriteria:
+    def test_pure_pair(self):
+        assert qkd.pair_criteria(0.0) == (-0.5, 2 * math.sqrt(2), 1.0)
+
+    def test_maximally_mixed_pair(self):
+        assert qkd.pair_criteria(0.5) == (0.25, 0.0, 0.25)
+
+    def test_disturbance_range(self):
+        with pytest.raises(ValueError):
+            qkd.pair_criteria(0.6)
 
 
 class TestSymbolDistribution:
@@ -233,8 +253,22 @@ class TestThresholds:
 
     def test_chsh_value_is_linear_in_weights(self):
         for d in (0.0, 0.1, 0.2, 0.3):
-            assert qcore.chsh_max(qkd.rho_ab(d)) == pytest.approx(
+            rho = qcore.bell_diagonal(qkd.bell_weights(d))
+            assert qcore.chsh_max(rho) == pytest.approx(
                 2 * ROOT2 * (1 - 2 * d), abs=1e-10)
+
+    # Values of the eigen-route bisection that these kinds used before
+    # they read pair_criteria; the bisection only sees signs.
+    @pytest.mark.parametrize("tol, chsh, entanglement", [
+        (1e-6, 0.14644670486450195, 0.2928929328918457),
+        (1e-5, 0.14645004272460938, 0.2928962707519531),
+        (1e-4, 0.146453857421875, 0.292877197265625),
+        (1e-3, 0.14599609375, 0.29248046875),
+        (1e-2, 0.14453125, 0.29296875),
+        (0.1, 0.15625, 0.28125)])
+    def test_pair_state_thresholds_unchanged(self, tol, chsh, entanglement):
+        assert qkd.threshold("chsh", tol=tol) == chsh
+        assert qkd.threshold("entanglement", tol=tol) == entanglement
 
     def test_eve_information_monotone(self):
         values = []
