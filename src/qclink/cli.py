@@ -219,12 +219,14 @@ def cmd_weak_sweep(params, seed):
     if not lo < hi:
         raise ValueError("parameters --ratio-min/--ratio-max must satisfy "
                          "min < max")
-    pulse, post = _pulse(params), _post_element(params)
+    pre = wm.jones_elliptical(params["theta-pre"], params["phi-pre"])
+    _check("pulse width", t_c, math.ulp(0.0))
+    post = _post_element(params)
     # The grid's top delay in Python floats, where overflow gives inf
     # silently; the numpy product below would warn first.
     _check("delay", hi * t_c)
     sweep = wm.toa_transition_sweep(
-        pulse, post, np.geomspace(lo, hi, params["points"]) * t_c, t_c)
+        pre, post, np.geomspace(lo, hi, params["points"]) * t_c, t_c)
     rows = [[r.delta_tau, *(params[k] for k in _PULSE_FLAGS), r.toa_exact,
              r.toa_weak, r.abs_error] for r in sweep]
     # The slope is fitted to the weak-end errors above round-off only.
@@ -247,12 +249,12 @@ def cmd_weak_profile(params, seed):
                                           _post_element(params)])
     t = wm.default_time_grid(field, step=params["step"], span=params["span"])
     profile = field.intensity(t)
-    rows = zip(t, profile[:, 0], profile[:, 1], profile.sum(axis=1))
+    total = profile.sum(axis=1)
+    rows = zip(t, profile[:, 0], profile[:, 1], total)
     summary = {"energy": field.energy(),
-               "peak_separation": wm.peak_separation(field, t)}
+               "peak_separation": wm.peak_separation(t, total)}
     try:
-        summary["mean_toa"] = wm.mean_toa_from_samples(
-            t, profile.sum(axis=1))
+        summary["mean_toa"] = wm.mean_toa_from_samples(t, total)
     except ValueError:
         summary["mean_toa"] = None
     return (["t", "intensity_x", "intensity_y", "intensity_total"], rows,

@@ -13,9 +13,10 @@ bit-flip-symmetric attack family.
 The count sums are pruned to their support: a count vector carries
 weight only if every symbol it uses has nonzero probability in some
 branch q[c, k] = P(e | a=c, b=c^k), so only vectors inside the maximal
-branch supports are enumerated, each once. Under the square-root
-measurement the supports are {0, 3} and {1, 2}, which cuts the rows for
-all n <= 64 from about 815k to 4288; under the binary measurement the
+branch supports are enumerated, each once. The square-root
+measurement reports Eve's guess plus the pair parity, so its supports
+are {0, 3} and {1, 2} by construction, which cuts the rows for all
+n <= 64 from about 815k to 4288; under the binary measurement the
 support is full. One vectorised pass covers a whole range of block
 sizes, and ad_min_block evaluates the ranges 1, 2-3, 4-7, 8-15, 16-31
 and 32-64 in turn, stopping at the first with positive advantage. The

@@ -9,8 +9,12 @@ she measures each probe individually, either with the optimal binary
 measurement on her conditional probe states. The module derives the
 post-sifting classical distribution P(A, B, E), the mutual informations,
 and the critical disturbances for one-way key extraction, CHSH violation
-and entanglement; the pair state's criteria are closed forms in its four
-Bell weights, so no density matrix is built.
+and entanglement. Both the pair state's criteria and Eve's symbol tables
+are closed forms in the four Bell weights, so no density matrix is built
+and no measurement is diagonalised: each of her probes lies in a
+two-register parity block, and both measurements project that block on
+(|p> +- |q>) / sqrt(2). The square-root outcome is her guess plus the
+pair parity, so its supports {0, 3} and {1, 2} hold by construction.
 """
 
 import math
@@ -34,6 +38,9 @@ _BASIS_KETS = {
     "z": (qcore.KET_0, qcore.KET_1),
     "x": (qcore.KET_PLUS, qcore.KET_MINUS),
 }
+# Eve's registers (p, q) that carry her probe for outcome pairs of parity
+# a ^ b = 0 and 1, in each basis.
+_PARITY_BLOCKS = {"z": ((0, 1), (2, 3)), "x": ((0, 2), (1, 3))}
 
 
 @dataclass(frozen=True)
@@ -171,45 +178,31 @@ def square_root_povm(states, priors):
     return povm
 
 
-def _eve_povm(probes, eve_measurement):
-    """Eve's POVM for the sifted-basis ensemble of conditional probes."""
-    p_ab = {ab: float(np.vdot(v, v).real) for ab, v in probes.items()}
-    if eve_measurement == HELSTROM_BINARY:
-        # Discriminate her state conditioned on the sender's bit.
-        rho = []
-        prior = []
-        for a in (0, 1):
-            pa = p_ab[a, 0] + p_ab[a, 1]
-            state = sum(np.outer(probes[a, b], probes[a, b].conj())
-                        for b in (0, 1))
-            rho.append(state / pa)
-            prior.append(pa)
-        _, povm = helstrom(rho[0], rho[1], prior0=prior[0])
-        return list(povm)
-    # Four-outcome square-root measurement on the conditional pure probes,
-    # outcome index e = 2a + b.
-    order = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    states, priors = [], []
-    for ab in order:
-        v, p = probes[ab], p_ab[ab]
-        states.append(v / np.sqrt(p) if p > 0 else np.zeros_like(v))
-        priors.append(p)
-    return square_root_povm(states, priors)
-
-
 def symbol_distribution(params, basis="z"):
     """Classical joint distribution P(a, b, e) after sifting.
 
-    The partners measure the announced basis; Eve applies her chosen
-    measurement to the conditional probe left by the outcome pair.
+    The partners measure the announced basis. Eve's probe for the outcome
+    pair (a, b) is (sqrt(lam_p) |p> +- sqrt(lam_q) |q>) / sqrt(2) on the
+    registers (p, q) of parity block a ^ b, and both of her measurements
+    project each block on (|p> +- |q>) / sqrt(2). Her guess g of a thus
+    has P(a, b, g) = (sqrt(lam_p) + (-1)^(a^g) sqrt(lam_q))^2 / 4. The
+    binary (Helstrom) measurement reports e = g; where lam_p lam_q = 0
+    the block's two probes coincide and all of it goes to e = 1. The
+    square-root measurement reports e = 2g + (g ^ a ^ b), the guess plus
+    the parity, so its supports are {0, 3} and {1, 2}.
     """
-    psi = attack_state(params)
-    probes = conditional_probes(psi, basis)
-    povm = _eve_povm(probes, params.eve_measurement)
-    table = np.zeros((2, 2, len(povm)))
-    for (a, b), v in probes.items():
-        for e, pi in enumerate(povm):
-            table[a, b, e] = max(float(np.real(v.conj() @ pi @ v)), 0.0)
+    if basis not in BASES:
+        raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
+    root = np.sqrt(bell_weights(params.disturbance))
+    four = params.eve_measurement == SQUARE_ROOT_4
+    table = np.zeros((2, 2, 4 if four else 2))
+    for a, b, g in np.ndindex(2, 2, 2):
+        p, q = _PARITY_BLOCKS[basis][a ^ b]
+        if four:
+            e = 2 * g + (g ^ a ^ b)
+        else:
+            e = g if root[p] * root[q] else 1
+        table[a, b, e] += (root[p] + (-1) ** (a ^ g) * root[q]) ** 2 / 4
     return SymbolDistribution(table)
 
 

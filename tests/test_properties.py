@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eve_tables import eigen_table
 from qclink import cli, cloning, qcore, qkd
 from qclink import weakmeas as wm
 
@@ -105,6 +106,19 @@ def test_symbol_table_normalised_with_uniform_sender(d, eve, basis):
     assert table.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(table.sum(axis=(1, 2)), 0.5, rtol=0,
                                atol=1e-10)
+
+
+@PROPERTY
+@given(st.floats(1e-3, 0.5), st.sampled_from(qkd.EVE_MEASUREMENTS),
+       st.sampled_from(qkd.BASES))
+def test_symbol_table_matches_the_eigen_route(d, eve, basis):
+    """The closed-form table agrees with Eve's diagonalised measurements
+    on her conditional probes. Below D = 1e-3 the eigen route itself
+    loses digits to eigenvector conditioning and to the 1e-14 kernel
+    cutoff of square_root_povm."""
+    params = qkd.AttackParams(d, eve_measurement=eve)
+    got = qkd.symbol_distribution(params, basis).table
+    assert np.abs(got - eigen_table(params, basis)).max() <= 4e-15
 
 
 @PROPERTY

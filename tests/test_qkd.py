@@ -1,5 +1,6 @@
 """Tests for the attack family, symbol distributions and thresholds."""
 
+import decimal
 import itertools
 import math
 
@@ -9,6 +10,28 @@ import pytest
 from qclink import qcore, qkd
 
 ROOT2 = np.sqrt(2.0)
+
+
+def decimal_table(d, eve, basis):
+    """P(a, b, e) from the closed form in 50-digit arithmetic: block
+    a ^ b holds registers (p, q), and Eve's guess g of a has
+    P = (sqrt(lam_p) + (-1)^(a^g) sqrt(lam_q))^2 / 4."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        d = decimal.Decimal(d)
+        lam = ((1 - d) ** 2, d * (1 - d), d * (1 - d), d * d)
+        root = [w.sqrt() for w in lam]
+        blocks = {"z": ((0, 1), (2, 3)), "x": ((0, 2), (1, 3))}[basis]
+        four = eve == qkd.SQUARE_ROOT_4
+        table = np.full((2, 2, 4 if four else 2), decimal.Decimal(0))
+        for a, b, g in itertools.product((0, 1), repeat=3):
+            p, q = blocks[a ^ b]
+            if four:
+                e = 2 * g + (g ^ a ^ b)
+            else:
+                e = g if lam[p] * lam[q] else 1
+            sign = 1 if a == g else -1
+            table[a, b, e] += (root[p] + sign * root[q]) ** 2 / 4
+        return table
 
 
 def trace_out_eve(psi_abe):
@@ -90,6 +113,30 @@ class TestSymbolDistribution:
         assert qkd.mutual_information(dist, "ae") == pytest.approx(0.0, abs=1e-10)
         assert qkd.mutual_information(dist, "ab") == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("basis", qkd.BASES)
+    def test_no_attack_binary_table_is_exact(self, basis):
+        """Eve's two probes in each block coincide, so the whole block
+        goes to e = 1 and her information is exactly zero."""
+        dist = qkd.symbol_distribution(qkd.AttackParams(0.0), basis)
+        assert dist.table.tolist() == [[[0.0, 0.5], [0.0, 0.0]],
+                                       [[0.0, 0.0], [0.0, 0.5]]]
+        assert qkd.mutual_information(dist, "ae") == 0.0
+
+    @pytest.mark.parametrize("eve", qkd.EVE_MEASUREMENTS)
+    @pytest.mark.parametrize("basis", qkd.BASES)
+    def test_tables_match_50_digit_closed_form(self, eve, basis):
+        rng = np.random.default_rng(13)
+        grid = [0.0, 1e-300, *10.0 ** rng.uniform(-12, -0.3, 100),
+                *rng.uniform(0.0, 0.5, 100)]
+        worst = 0
+        for d in map(float, grid):
+            got = qkd.symbol_distribution(
+                qkd.AttackParams(d, eve_measurement=eve), basis).table
+            exact = decimal_table(d, eve, basis)
+            worst = max(worst, *(abs(decimal.Decimal(float(g)) - x)
+                                 for g, x in zip(got.flat, exact.flat)))
+        assert worst <= 2.5e-16
+
     def test_helstrom_success_closed_form(self):
         """P(e = a) = 1/2 + sqrt(D (1-D)) for the binary guess."""
         d = 0.1464
@@ -140,6 +187,7 @@ class TestSymbolDistribution:
             diff = np.max(np.abs(z.table - x.table[:, :, list(perm)]))
             best = min(best, diff)
         assert best <= 1e-10
+        assert np.array_equal(z.table, x.table)
 
     @pytest.mark.parametrize("eve", [qkd.HELSTROM_BINARY, qkd.SQUARE_ROOT_4])
     def test_bit_flip_symmetry(self, eve):
@@ -269,6 +317,17 @@ class TestThresholds:
     def test_pair_state_thresholds_unchanged(self, tol, chsh, entanglement):
         assert qkd.threshold("chsh", tol=tol) == chsh
         assert qkd.threshold("entanglement", tol=tol) == entanglement
+
+    # Values of the bisection over the eigen-route symbol tables that
+    # one_way used before it read the closed forms.
+    @pytest.mark.parametrize("eve", qkd.EVE_MEASUREMENTS)
+    @pytest.mark.parametrize("tol, expected", [
+        (1e-6, 0.14644670486450195), (1e-5, 0.14645004272460938),
+        (1e-4, 0.146453857421875), (1e-3, 0.14599609375),
+        (1e-2, 0.14453125), (0.1, 0.15625)])
+    def test_one_way_thresholds_unchanged(self, eve, tol, expected):
+        assert qkd.threshold("one_way", tol=tol, eve_measurement=eve) == \
+            expected
 
     def test_eve_information_monotone(self):
         values = []

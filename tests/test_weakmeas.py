@@ -45,7 +45,7 @@ def sweep_by_points(pre, post, grid, t_c):
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0.0):
         raise ValueError("delay grid must be positive")
-    psi = pre.jones if isinstance(pre, wm.PolarizedPulse) else wm._unit_jones(pre)
+    psi = wm._unit_jones(pre)
     rows = []
     for dt in grid:
         pulse = wm.PolarizedPulse(t_c, psi)
@@ -138,7 +138,7 @@ class TestPropagate:
         # two equal peaks at +-dt/2
         assert y[np.argmin(np.abs(t - dt / 2))] == pytest.approx(0.5, abs=1e-6)
         assert y[np.argmin(np.abs(t + dt / 2))] == pytest.approx(0.5, abs=1e-6)
-        assert wm.peak_separation(out, t) == pytest.approx(dt, abs=0.02 * TC)
+        assert wm.peak_separation(t, y) == pytest.approx(dt, abs=0.02 * TC)
 
     @pytest.mark.parametrize("gamma", [0.0, 3.0, 10.0, 30.0])
     def test_pdl_transmitted_power(self, gamma):
@@ -538,8 +538,6 @@ class TestTransitionSweep:
                     wm.PdlElement(rng.uniform(0.0, 30.0),
                                   rng.uniform(0, np.pi))][case % 3]
             pre = elliptical(rng)
-            if case % 2:
-                pre = wm.PolarizedPulse(1.0, pre)
             t_c = rng.uniform(0.2, 3.0)
             grid = t_c * np.geomspace(10.0 ** rng.uniform(-4, -1),
                                       10.0 ** rng.uniform(0, 1.5),
@@ -553,9 +551,21 @@ class TestTransitionSweep:
             got = wm.toa_transition_sweep(pre, post, grid, t_c)
             assert [repr(r) for r in got] == [repr(r) for r in expected]
 
+    def test_pulse_is_not_a_jones_vector(self):
+        """The sweep's pulse width is t_c; a pulse of another width used
+        to be swept at t_c without a word."""
+        pulse = wm.PolarizedPulse(2.0, wm.jones_linear(0.3))
+        with pytest.raises(TypeError):
+            wm.toa_transition_sweep(pulse, wm.analyzer(1.0), [0.5, 1.0], TC)
+
     def test_peak_separation_regimes(self):
         pre = wm.jones_linear(np.pi / 4)
-        weak = wm.propagate(wm.PolarizedPulse(TC, pre), [wm.PmdElement(0.1)])
-        strong = wm.propagate(wm.PolarizedPulse(TC, pre), [wm.PmdElement(8.0)])
-        assert wm.peak_separation(weak) == 0.0
-        assert wm.peak_separation(strong) == pytest.approx(8.0, abs=0.05)
+
+        def separation(dtau):
+            field = wm.propagate(wm.PolarizedPulse(TC, pre),
+                                 [wm.PmdElement(dtau)])
+            t = wm.default_time_grid(field)
+            return wm.peak_separation(t, field.intensity(t).sum(axis=1))
+
+        assert separation(0.1) == 0.0
+        assert separation(8.0) == pytest.approx(8.0, abs=0.05)
