@@ -204,7 +204,7 @@ def cmd_weak_toa(params, seed):
     pmd = wm.PmdElement(params["dtau"])
     post = _post_element(params)
     closed = wm.mean_toa_closed(pulse, pmd, post)
-    numeric = wm.mean_toa_numeric(wm.propagate(pulse, [pmd, post]))
+    numeric = wm.propagate(pulse, [pmd, post]).mean_toa()
     weak = wm.weak_value(pulse, pmd, post)
     rows = [[params["dtau"], *(params[k] for k in _PULSE_FLAGS), closed,
              numeric, weak]]
@@ -254,7 +254,7 @@ def cmd_weak_profile(params, seed):
     summary = {"energy": field.energy(),
                "peak_separation": wm.peak_separation(t, total)}
     try:
-        summary["mean_toa"] = wm.mean_toa_from_samples(t, total)
+        summary["mean_toa"] = field.mean_toa()
     except ValueError:
         summary["mean_toa"] = None
     return (["t", "intensity_x", "intensity_y", "intensity_total"], rows,

@@ -199,6 +199,7 @@ def generate_fidelity_dataset(q, mu_in, gain=10.0, noise_sigma=0.0, seed=0):
     mu_out = gain * mu_in; optional additive Gaussian noise on the
     fidelities, clipped into (0, 1].
     """
+    _check("noise sigma", noise_sigma, 0.0)
     mu_in = np.asarray(mu_in, dtype=float)
     mu_out = gain * mu_in
     fid = np.array([fidelity_classical(a, b, q) for a, b in zip(mu_in, mu_out)])

@@ -185,7 +185,8 @@ def _block_profiles(dist, ranges):
         # pairwise order does not depend on the range around it.
         bounds = np.searchsorted(index[mask], np.arange(hi - lo + 2))
         h_cond = [h[a:b].sum() for a, b in zip(bounds, bounds[1:])]
-        yield [AdOutcome(n, p_acc, eps_post, i_ab, 1.0 - float(hc))
+        # I(A;E) >= 0; at D = 0 the sum of 1 - H(A|E) reads -8.9e-16.
+        yield [AdOutcome(n, p_acc, eps_post, i_ab, max(1.0 - float(hc), 0.0))
                for (n, p_acc, eps_post, i_ab), hc in zip(stats, h_cond)]
 
 

@@ -131,8 +131,8 @@ def bell_diagonal(weights):
     w = np.asarray(weights, dtype=float)
     if w.shape != (4,):
         raise ValueError("need exactly four Bell weights")
-    if np.any(w < -WEIGHT_ATOL):
-        raise ValueError(f"negative Bell weight in {w}")
+    if not (w >= -WEIGHT_ATOL).all():
+        raise ValueError(f"negative or NaN Bell weight in {w}")
     if abs(w.sum() - 1.0) > WEIGHT_ATOL:
         raise ValueError(f"Bell weights sum to {w.sum()!r}, not 1")
     w = np.clip(w, 0.0, None)

@@ -68,8 +68,8 @@ class SymbolDistribution:
         t = np.asarray(self.table, dtype=float)
         if t.ndim != 3 or t.shape[:2] != (2, 2) or t.shape[2] not in (2, 4):
             raise ValueError(f"expected table of shape (2, 2, 2|4), got {t.shape}")
-        if np.any(t < 0.0):
-            raise ValueError("negative probability in symbol table")
+        if not (t >= 0.0).all():
+            raise ValueError("negative or NaN probability in symbol table")
         if abs(t.sum() - 1.0) > 1e-12:
             raise ValueError(f"symbol table sums to {t.sum()!r}, not 1")
         pa = t.sum(axis=(1, 2))

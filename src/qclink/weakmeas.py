@@ -20,14 +20,17 @@ dtau -> 0 limit is the two-state pointer-shift prediction
     <t>_weak = (dtau/2) Re <psi| Pi sigma |psi> / <psi| Pi |psi>,
 
 Pi = K^dag K the post-selection operator and sigma the +1/-1 operator
-on the delay eigenmodes. Numeric integration of sampled intensity
-profiles provides the independent cross-check for both.
+on the delay eigenmodes. The field's numeric integrals below are the
+independent cross-check for both.
 
 A chain of elements leaves a field E(t) = sum_j a_j exp(-(t-d_j)^2/(2 t_c^2)).
 Its energy and mean arrival time are the integrals of |E|^2 and t |E|^2,
 taken by the trapezoid rule on a uniform grid of step t_c/2.5 around each
 cluster of delays (clusters split at gaps over 15 t_c; a grid reaches
-7.5 t_c past its outer delays). Every cross term of |E|^2 is a Gaussian
+7.5 t_c past its outer delays). Every Gaussian is evaluated in units of
+t_c from its cluster's first delay, never in absolute time, so the sums
+hold from t_c near the smallest subnormal to delays near the largest
+float. Every cross term of |E|^2 is a Gaussian
 of width t_c/sqrt(2), so the rule errs by at most 2 exp(-6.25 pi^2) ~ 3e-27
 relative (Trefethen & Weideman, SIAM Review 56, 385, 2014) and the cut
 grid by erfc(7.5) ~ 3e-26; round-off dominates. The cost is terms x nodes.
@@ -139,18 +142,28 @@ class PropagatedField:
     """Two-component field as a superposition of delayed Gaussian terms."""
 
     def __init__(self, t_c, delays, amps):
-        self.t_c = float(t_c)
+        self.t_c = float(_check("pulse width", t_c, math.ulp(0.0)))
         self.delays = np.atleast_1d(np.asarray(delays, dtype=float))
         self.amps = np.asarray(amps, dtype=complex).reshape(-1, 2)
         if self.delays.shape[0] != self.amps.shape[0]:
             raise ValueError("delays and amplitudes differ in length")
+        # A finite spread keeps every delay difference in _moments finite;
+        # in Python floats it overflows to inf without a warning.
+        spread = (float(self.delays.max()) - float(self.delays.min())
+                  if self.delays.size else 0.0)
+        if not (math.isfinite(spread) and np.isfinite(self.amps).all()):
+            raise ValueError("delays, their spread and amplitudes must be "
+                             "finite")
 
     def sample(self, t):
         """Complex field components on a time grid, shape (len(t), 2)."""
-        t = np.asarray(t, dtype=float)
-        g = np.exp(-((t[None, :] - self.delays[:, None]) ** 2)
-                   / (2.0 * self.t_c ** 2))
-        return np.einsum("jt,jc->tc", g, self.amps)
+        x = np.subtract.outer(self.delays, np.asarray(t, dtype=float))
+        # An overflow gives x * x = inf, so exp() = 0: the pulse is gone.
+        with np.errstate(over="ignore"):
+            x /= self.t_c
+            x *= x
+        x *= -0.5
+        return np.einsum("jt,jc->tc", np.exp(x, out=x), self.amps)
 
     def intensity(self, t):
         """Per-component intensity on a grid, shape (len(t), 2)."""
@@ -158,50 +171,62 @@ class PropagatedField:
         return (e.real ** 2 + e.imag ** 2)
 
     def _moments(self):
-        """Integrals of |E(t)|^2 and t |E(t)|^2 by the trapezoid rule.
+        """Trapezoid sums of |E|^2 and u |E|^2 per cluster of delays.
 
-        A node block sums only the terms within 2 QUAD_PAD t_c of it:
-        farther terms enter |E|^2 below exp(-112) of their amplitude.
+        Node offsets u are in units of t_c from the cluster's first delay,
+        so no Gaussian is evaluated in absolute time. Returns the clusters'
+        first delays, their sums of |E|^2 and their sums of u |E|^2. A
+        node block sums only the terms within 2 QUAD_PAD of it: farther
+        terms enter |E|^2 below exp(-112) of their amplitude.
         """
         order = np.argsort(self.delays, kind="stable")
         d = self.delays[order]
         a = self.amps[order].view(float)  # (terms, 4): re, im of x and y
-        h, pad = QUAD_STEP * self.t_c, QUAD_PAD * self.t_c
         nodes, chunk = QUAD_BLOCK
-        cuts = np.flatnonzero(np.diff(d) > 2.0 * pad) + 1
-        energy = first = 0.0
-        for lo, hi in zip(d[np.r_[0, cuts]], d[np.r_[cuts - 1, d.size - 1]]):
-            count = int(np.ceil((hi - lo + 2.0 * pad) / h)) + 1
+        cuts = np.flatnonzero(np.diff(d) > 2.0 * QUAD_PAD * self.t_c) + 1
+        bounds = [0, *cuts.tolist(), d.size]
+        starts, energy, first = [], [], []
+        for lo, hi in zip(bounds, bounds[1:]):
+            u = (d[lo:hi] - d[lo]) / self.t_c
+            count = int(np.ceil((u[-1] + 2.0 * QUAD_PAD) / QUAD_STEP)) + 1
+            w_sum = u_sum = 0.0
             for start in range(0, count, nodes):
-                t = (lo - pad) + h * np.arange(start, min(start + nodes, count))
-                j0, j1 = np.searchsorted(d, [t[0] - 2.0 * pad,
-                                             t[-1] + 2.0 * pad])
-                e = np.zeros((t.size, 4))
+                x = QUAD_STEP * np.arange(start, min(start + nodes, count)) \
+                    - QUAD_PAD
+                j0, j1 = np.searchsorted(u, [x[0] - 2.0 * QUAD_PAD,
+                                             x[-1] + 2.0 * QUAD_PAD])
+                e = np.zeros((x.size, 4))
                 for j in range(j0, j1, chunk):
                     k = min(j + chunk, j1)
-                    g = np.subtract.outer(t, d[j:k])
+                    g = np.subtract.outer(x, u[j:k])
                     g *= g
-                    g *= -0.5 / self.t_c ** 2
-                    e += np.exp(g, out=g) @ a[j:k]
+                    g *= -0.5
+                    e += np.exp(g, out=g) @ a[lo + j:lo + k]
                 w = np.einsum("ij,ij->i", e, e)
-                energy += w.sum()
-                first += t @ w
-        return h * energy, h * first
+                w_sum += w.sum()
+                u_sum += x @ w
+            starts.append(d[lo])
+            energy.append(w_sum)
+            first.append(u_sum)
+        return starts, energy, first
 
     def energy(self):
         """Total pulse energy, integrated on the trapezoid grid."""
         if self.amps.shape[0] == 0:
             return 0.0
-        return float(self._moments()[0])
+        return float(QUAD_STEP * sum(self._moments()[1]) * self.t_c)
 
     def mean_toa(self):
-        """Intensity-weighted mean arrival time, on the trapezoid grid."""
-        if self.amps.shape[0] == 0:
-            raise ValueError("no transmitted energy: the field is fully blocked")
-        energy, first = self._moments()
-        if energy <= BLOCKED_FRACTION * np.sqrt(np.pi) * self.t_c:
-            raise ValueError("no transmitted energy: the field is fully blocked")
-        return float(first / energy)
+        """Intensity-weighted mean arrival time, on the trapezoid grid:
+        the clusters' first delays weighted by their energy shares, plus
+        t_c times the mean node offset."""
+        if self.amps.shape[0] != 0:
+            starts, energy, first = self._moments()
+            total = sum(energy)
+            if QUAD_STEP * total > BLOCKED_FRACTION * np.sqrt(np.pi):
+                return float(sum(e / total * s for e, s in zip(energy, starts))
+                             + self.t_c * (sum(first) / total))
+        raise ValueError("no transmitted energy: the field is fully blocked")
 
 
 def propagate(pulse, elements):
@@ -211,23 +236,25 @@ def propagate(pulse, elements):
     never exceeds the input energy and is conserved exactly when the
     chain contains no loss element.
     """
-    field = PropagatedField(pulse.t_c, [0.0], pulse.jones[None, :])
-    for element in elements:
-        if isinstance(element, PmdElement):
-            slow, fast = element.slow_fast()
-            cs = field.amps @ slow.astype(complex)
-            cf = field.amps @ fast.astype(complex)
-            delays = np.concatenate([field.delays + element.delta_tau / 2.0,
-                                     field.delays - element.delta_tau / 2.0])
-            amps = np.vstack([np.outer(cs, slow), np.outer(cf, fast)])
-        elif isinstance(element, PdlElement):
-            delays = field.delays
-            amps = field.amps @ element.jones_matrix().T.astype(complex)
-        else:
-            raise ValueError(f"unknown element {element!r}")
-        keep = (np.abs(amps) ** 2).sum(axis=1) > 0.0
-        field = PropagatedField(field.t_c, delays[keep], amps[keep])
-    return field
+    delays, amps = np.zeros(1), pulse.jones[None, :]
+    # A delay past the float range becomes inf, which PropagatedField
+    # rejects with a ValueError.
+    with np.errstate(over="ignore"):
+        for element in elements:
+            if isinstance(element, PmdElement):
+                slow, fast = element.slow_fast()
+                cs = amps @ slow.astype(complex)
+                cf = amps @ fast.astype(complex)
+                delays = np.concatenate([delays + element.delta_tau / 2.0,
+                                         delays - element.delta_tau / 2.0])
+                amps = np.vstack([np.outer(cs, slow), np.outer(cf, fast)])
+            elif isinstance(element, PdlElement):
+                amps = amps @ element.jones_matrix().T.astype(complex)
+            else:
+                raise ValueError(f"unknown element {element!r}")
+            keep = (np.abs(amps) ** 2).sum(axis=1) > 0.0
+            delays, amps = delays[keep], amps[keep]
+    return PropagatedField(pulse.t_c, delays, amps)
 
 
 def default_time_grid(field, step=None, span=None):
@@ -252,53 +279,13 @@ def default_time_grid(field, step=None, span=None):
     return np.linspace(-half * step, half * step, 2 * half + 1)
 
 
-def _simpson(y, x):
-    """Composite Simpson integral of samples y on an increasing grid x.
-
-    Interval pairs use the three-point rule for unequal spacings; with an
-    even sample count the last interval gets Cartwright's correction.
-    """
-    _check("sample count", y.size, 3, math.inf, integer=True)
-    h = np.diff(x)
-    m = (y.size - 1) // 2 * 2  # samples 0..m are covered by interval pairs
-    h0, h1 = h[0:m:2], h[1:m:2]
-    hsum, h0divh1 = h0 + h1, h0 / h1
-    total = np.sum(hsum / 6.0 * (y[0:m:2] * (2.0 - 1.0 / h0divh1)
-                                 + y[1:m:2] * (hsum * (hsum / (h0 * h1)))
-                                 + y[2:m + 1:2] * (2.0 - h0divh1)))
-    if m < y.size - 1:
-        a, b = h[-2], h[-1]
-        total += ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[-1]
-                  + (b ** 2 + 3.0 * a * b) / (6 * a) * y[-2]
-                  - b ** 3 / (6 * a * (a + b)) * y[-3])
-    return total
-
-
-def _sampled_mean(t, intensity, floor):
-    t = np.asarray(t, dtype=float)
-    intensity = np.asarray(intensity, dtype=float)
-    if not (np.isfinite(t).all() and np.isfinite(intensity).all()):
-        raise ValueError("sample times and intensities must be finite")
-    total = _simpson(intensity, t)
-    if total <= floor:
-        raise ValueError("no transmitted energy in the sampled profile")
-    return float(_simpson(t * intensity, t) / total)
-
-
-def mean_toa_from_samples(t, intensity):
-    """Composite-Simpson mean arrival time of a sampled intensity."""
-    return _sampled_mean(t, intensity, 0.0)
-
-
 def mean_toa_numeric(field):
-    """Mean arrival time of the total detected intensity, default grid.
+    """Mean arrival time of the total detected intensity: field.mean_toa().
 
     The detector integrates both polarization components; pass the field
     through an analyzer first to model a polarization-resolved detector.
     """
-    t = default_time_grid(field)
-    return _sampled_mean(t, field.intensity(t).sum(axis=1),
-                         BLOCKED_FRACTION * np.sqrt(np.pi) * field.t_c)
+    return field.mean_toa()
 
 
 def _post_operator(post):

@@ -273,16 +273,42 @@ class TestExitCodes:
         assert code == 1 and not csv_path.exists()
         assert "budget" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("args", [
-        ["weak", "toa", "--dtau", "1e308"],
-        ["weak", "toa", "--dtau", "0.5", "--tc", "1e-300"],
-        ["weak", "profile", "--dtau", "1e308"]])
-    def test_extreme_delay_ratio_hits_grid_budget(self, tmp_path, capsys,
-                                                  args):
+    def test_extreme_delay_ratio_hits_grid_budget(self, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cli.main(args + ["--outdir", str(tmp_path)]) == 1
+            assert cli.main(["weak", "profile", "--dtau", "1e308",
+                             "--outdir", str(tmp_path)]) == 1
         assert "exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["--dtau", "1e308"],
+        ["--dtau", "0.5", "--tc", "1e-300"],
+        ["--dtau", "3", "--tc", "1e200"],
+        ["--dtau", "1e-300", "--tc", "1e-300"]])
+    def test_extreme_scales_arrival_time(self, tmp_path, args):
+        """The field's arrival time samples no grid: at extreme delays and
+        widths it runs without a warning and matches the closed form to
+        1e-12 of the larger of t_c and dtau."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, csv_path, _ = run_cli(["weak", "toa", *args], tmp_path,
+                                        "weak-toa-0")
+        assert code == 0
+        header, row = csv_path.read_text().splitlines()
+        row = dict(zip(header.split(","), map(float, row.split(","))))
+        scale = max(row["tc"], row["dtau"])
+        assert abs(row["toa_numeric"] - row["toa_closed"]) <= 1e-12 * scale
+
+    def test_profile_at_tiny_pulse_width(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, csv_path, json_path = run_cli(
+                ["weak", "profile", "--dtau", "1e-300", "--tc", "1e-300"],
+                tmp_path, "weak-profile-0")
+        assert code == 0 and csv_path.exists()
+        summary = strict_json(json_path)["summary"]
+        assert summary["energy"] == pytest.approx(math.sqrt(math.pi) * 1e-300,
+                                                  rel=1e-12)
 
     def test_sweep_delay_overflow_is_one_without_warning(self, tmp_path,
                                                         capsys):
@@ -364,8 +390,8 @@ class TestReports:
         assert peak < 40 * 2 ** 20
 
     def test_profile_samples_the_field_once(self, tmp_path, monkeypatch):
-        """The rows, the peak separation and the mean arrival time share
-        one sampled intensity."""
+        """The rows and the peak separation share one sampled intensity;
+        the energy and the mean arrival time are the field's own."""
         sizes = []
         intensity = wm.PropagatedField.intensity
 

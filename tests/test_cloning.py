@@ -234,6 +234,11 @@ class TestFitQ:
             q_hat, _ = cloning.fit_q(data)
         assert 0.0 <= q_hat <= 1.0
 
+    @pytest.mark.parametrize("sigma", [np.nan, -0.01, np.inf])
+    def test_bad_noise_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="noise sigma"):
+            cloning.generate_fidelity_dataset(0.8, MU_GRID, noise_sigma=sigma)
+
     @pytest.mark.parametrize("col, value", [
         (0, np.inf), (1, np.nan), (1, np.inf), (2, np.nan), (2, -np.inf)])
     def test_non_finite_record_rejected(self, col, value):

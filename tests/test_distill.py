@@ -29,7 +29,9 @@ def dense_count_vectors(n, k):
 
 def dense_i_ae(dist, n):
     """I(C; Eve's n symbols | accept) summed over every symbol-count
-    vector, with no support pruning: the oracle for distill's engine."""
+    vector, with no support pruning: the oracle for distill's engine.
+    Like the engine it clamps the information at 0, where round-off of
+    the entropy sum reads down to -1.2e-14 (D = 0, square_root_4)."""
     eps = qkd.error_rate(dist)
     p_acc = (1.0 - eps) ** n + eps ** n
     pi_k = np.array([(1.0 - eps) ** n, eps ** n]) / p_acc
@@ -50,7 +52,8 @@ def dense_i_ae(dist, n):
     tot = w.sum(axis=0)
     mask = tot > 0.0
     post0 = w[0, mask] / tot[mask]
-    return 1.0 - float((0.5 * tot[mask] * distill._h2_vec(post0)).sum())
+    return max(1.0 - float((0.5 * tot[mask] * distill._h2_vec(post0)).sum()),
+               0.0)
 
 
 def enumerated_outcome(dist, n):
@@ -145,6 +148,16 @@ class TestAdExact:
             distill.ad_exact(dist, 0)
         with pytest.raises(ValueError):
             distill.ad_exact(dist, 65)
+
+    @pytest.mark.parametrize("eve", qkd.EVE_MEASUREMENTS)
+    def test_no_attack_leaves_no_negative_information(self, eve):
+        """At D = 0 Eve learns nothing; the block entropy sums must not
+        read a negative information or an advantage above I(A;B)."""
+        dist = dist_at(0.0, eve)
+        for n in range(1, distill.MAX_BLOCK + 1):
+            out = distill.ad_exact(dist, n)
+            assert out.i_ae >= 0.0
+            assert out.advantage <= out.i_ab
 
     def test_log_factorial_table_matches_gammaln(self):
         k = np.arange(distill.MAX_BLOCK + 1)
@@ -417,6 +430,10 @@ class TestRecurrence:
         new_w, p = distill.recurrence_explicit(weights)
         assert new_w.sum() == pytest.approx(1.0, abs=1e-12)
         assert 0.0 < p <= 1.0
+
+    def test_explicit_protocol_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            distill.recurrence_explicit([0.5, np.nan, 0.25, 0.25])
 
 
 class TestWernerChain:

@@ -180,6 +180,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             qcore.check_density_matrix(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_bell_weights_must_be_numbers(self, bad):
+        with pytest.raises(ValueError):
+            qcore.bell_diagonal([bad, 0.5, 0.25, 0.25])
+
     def test_positivity_required(self):
         bad = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
         with pytest.raises(ValueError):

@@ -113,6 +113,15 @@ class TestSymbolDistribution:
         assert qkd.mutual_information(dist, "ae") == pytest.approx(0.0, abs=1e-10)
         assert qkd.mutual_information(dist, "ab") == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("cell", [(0, 0, 0), (1, 1, 1), (0, 1, 0)])
+    def test_nan_table_rejected(self, cell):
+        """A NaN passes no sum test (every comparison with it is false),
+        so it is caught entry by entry."""
+        table = np.full((2, 2, 2), 0.125)
+        table[cell] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            qkd.SymbolDistribution(table)
+
     @pytest.mark.parametrize("basis", qkd.BASES)
     def test_no_attack_binary_table_is_exact(self, basis):
         """Eve's two probes in each block coincide, so the whole block

@@ -220,6 +220,58 @@ class TestTrapezoidMoments:
         assert energy == pytest.approx(np.sqrt(np.pi) * TC, abs=1e-9)
         assert abs(toa) <= np.abs(field.delays).max()
 
+    @pytest.mark.parametrize("ratio", [1e15, 1e16, 1e17, 1e300])
+    def test_far_delay_conserves_energy(self, ratio):
+        """Nodes sit in units of t_c from each cluster's first delay, so a
+        delay of 1e16 t_c leaves the grid as fine as at the origin."""
+        pulse = wm.PolarizedPulse(TC, wm.jones_linear(0.3))
+        pmd = wm.PmdElement(ratio * TC, 0.1)
+        field = wm.propagate(pulse, [pmd])
+        assert field.energy() == pytest.approx(np.sqrt(np.pi) * TC,
+                                               rel=1e-12)
+        assert field.mean_toa() == pytest.approx(
+            wm.mean_toa_closed(pulse, pmd), rel=1e-12)
+
+    @pytest.mark.parametrize("t_c", [5e-324, 1e-310, 0.7e-200, 1e200,
+                                     1e308])
+    def test_extreme_pulse_widths(self, t_c):
+        pulse = wm.PolarizedPulse(t_c, wm.jones_linear(0.3))
+        pmd = wm.PmdElement(t_c, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = wm.propagate(pulse, [pmd])
+            energy, toa = field.energy(), field.mean_toa()
+        if t_c >= 1e-300:  # subnormal widths keep a few digits only
+            assert energy == pytest.approx(np.sqrt(np.pi) * t_c, rel=1e-12)
+            assert toa == pytest.approx(wm.mean_toa_closed(pulse, pmd),
+                                        rel=1e-12)
+        else:
+            assert energy > 0.0 and abs(toa) <= t_c
+
+    @pytest.mark.parametrize("t_c, delays, amps", [
+        (np.nan, [0.0], [[1.0, 0.0]]),
+        (0.0, [0.0], [[1.0, 0.0]]),
+        (-1.0, [0.0], [[1.0, 0.0]]),
+        (np.inf, [0.0], [[1.0, 0.0]]),
+        (1.0, [np.nan], [[1.0, 0.0]]),
+        (1.0, [np.inf], [[1.0, 0.0]]),
+        (1.0, [0.0], [[np.inf, 0.0]]),
+        (1.0, [0.0], [[1.0, complex(0.0, np.nan)]]),
+        (1.0, [-1e308, 1e308], [[1.0, 0.0], [0.0, 1.0]])])
+    def test_field_rejects_bad_input(self, t_c, delays, amps):
+        """A NaN width, an infinite amplitude and a delay spread beyond the
+        largest float raise instead of integrating to nan or an overflow."""
+        with pytest.raises(ValueError, match="pulse width|finite"):
+            wm.PropagatedField(t_c, delays, amps)
+
+    def test_delay_past_float_range_raises(self):
+        pulse = wm.PolarizedPulse(TC, wm.jones_linear(0.3))
+        chain = [wm.PmdElement(1.7e308, axis) for axis in (0.1, 0.9, 0.4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                wm.propagate(pulse, chain)
+
 
 class TestMeanToa:
     def test_eigenmode_shift(self):
@@ -300,34 +352,6 @@ class TestMeanToa:
         field = wm.propagate(pulse, [wm.PmdElement(0.5)])
         with pytest.warns(UserWarning):
             wm.default_time_grid(field, step=0.4)
-
-    @pytest.mark.parametrize("n", [3, 4, 101, 250])
-    @pytest.mark.parametrize("uniform", [True, False])
-    def test_simpson_matches_scipy(self, n, uniform):
-        rng = np.random.default_rng(n)
-        x = (np.linspace(-4.0, 5.0, n) if uniform
-             else np.sort(rng.uniform(-4.0, 5.0, n)))
-        y = np.exp(-x ** 2 / 3.0) * (1.0 + rng.random(n))
-        assert wm._simpson(y, x) == pytest.approx(simpson(y, x=x), rel=1e-12)
-
-    def test_simpson_needs_three_samples(self):
-        with pytest.raises(ValueError):
-            wm._simpson(np.ones(2), np.arange(2.0))
-
-    def test_arbitrary_sampled_envelope(self):
-        """The numeric route works for non-Gaussian sampled profiles."""
-        t = np.linspace(-10, 10, 4001)
-        profile = np.where(np.abs(t - 0.5) < 2.0, 1.0, 0.0)
-        assert wm.mean_toa_from_samples(t, profile) == pytest.approx(0.5,
-                                                                     abs=1e-9)
-
-    @pytest.mark.parametrize("bad", ["time", "intensity"])
-    def test_non_finite_samples_rejected(self, bad):
-        t = np.arange(5.0)
-        profile = np.array([1.0, 2.0, 2.0, 2.0, 1.0])
-        (t if bad == "time" else profile)[2] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            wm.mean_toa_from_samples(t, profile)
 
 
 class TestWeakValue:
