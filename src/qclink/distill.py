@@ -11,19 +11,21 @@ announcement fixed to the all-zero pattern, which is lossless for the
 bit-flip-symmetric attack family.
 
 The count sums are pruned to their support: a count vector carries
-weight only if every symbol it uses has nonzero probability in some
-branch q[c, k] = P(e | a=c, b=c^k), so only vectors inside the maximal
-branch supports are enumerated, each once. The square-root
-measurement reports Eve's guess plus the pair parity, so its supports
-are {0, 3} and {1, 2} by construction, which cuts the rows for all
-n <= 64 from about 815k to 4288; under the binary measurement the
-support is full. One vectorised pass covers a whole range of block
-sizes, and ad_min_block evaluates the ranges 1, 2-3, 4-7, 8-15, 16-31
-and 32-64 in turn, stopping at the first with positive advantage. The
-Monte Carlo harness refuses more than MC_MAX_TRIAL_SYMBOLS trial-symbols
-before it allocates anything and draws the symbols MC_CHUNK_SYMBOLS at a
-time. It accepts or rejects each block from its raw uniforms and decodes
-only the accepted blocks, so it holds one chunk plus 8 bytes per trial.
+weight only if every symbol it uses has nonzero probability in one
+branch q[c, k] = P(e | a=c, b=c^k), so only vectors inside a branch
+support are enumerated, each once. The square-root measurement reports
+Eve's guess plus the pair parity, so its supports are {0, 3} and
+{1, 2} by construction, which cuts the rows for all n <= 64 from about
+815k to 4288; under the binary measurement the support is full. One
+vectorised pass covers every block size 1..n_max and returns each
+statistic as an array over n, and ad_min_block reads the first n with
+positive advantage off it. The cache keeps each branch's rows with
+their counts on its support already as floats, so a pass gathers
+nothing per call. The Monte Carlo harness refuses more than
+MC_MAX_TRIAL_SYMBOLS trial-symbols before it allocates anything and
+draws the symbols MC_CHUNK_SYMBOLS at a time. It accepts or rejects
+each block from its raw uniforms and decodes only the accepted blocks,
+so it holds one chunk plus 8 bytes per trial.
 
 Quantum route: the standard two-pair recurrence step at the fidelity
 level, F' = (F^2 + ((1-F)/3)^2) / (F^2 + 2F(1-F)/3 + 5((1-F)/3)^2),
@@ -52,10 +54,6 @@ MC_MAX_TRIAL_SYMBOLS = 10 ** 7
 # Trial-symbols ad_monte_carlo draws at a time: its (trials, n) arrays
 # hold up to about 50 bytes per trial-symbol, so a chunk takes ~3 MB.
 MC_CHUNK_SYMBOLS = 1 << 16
-# Block sizes that ad_min_block evaluates together, smallest first, so a
-# point that stops at a small block never pays for the large ones.
-_MIN_BLOCK_RANGES = ((1, 1), (2, 3), (4, 7), (8, 15), (16, 31),
-                     (32, MAX_BLOCK))
 # log(k!) for k = 0..MAX_BLOCK: the block sums need no other factorials.
 _LOG_FACTORIAL = np.concatenate(
     [[0.0], np.cumsum(np.log(np.arange(1, MAX_BLOCK + 1)))])
@@ -100,11 +98,10 @@ def _conditional_eve(dist):
 
 
 def _branch_supports(q):
-    """Maximal supports of Eve's conditional distributions q[c, k]."""
-    supports = {tuple(np.flatnonzero(q[c, k] > 0.0))
-                for c in (0, 1) for k in (0, 1)} - {()}
-    return tuple(sorted(s for s in supports
-                        if not any(set(s) < set(t) for t in supports)))
+    """The symbols e with q[c, k, e] > 0 of each branch (c, k), in the
+    order (0, 0), (0, 1), (1, 0), (1, 1)."""
+    return tuple(tuple(np.flatnonzero(b).tolist())
+                 for b in q.reshape(4, -1) > 0.0)
 
 
 def _simplex(n, s):
@@ -118,14 +115,17 @@ def _simplex(n, s):
 
 
 @functools.cache
-def _count_rows(lo, hi, ne, supports):
+def _count_rows(lo, hi, ne, branches):
     """Eve's symbol-count vectors for the block sizes lo..hi that lie
-    inside one of the supports, ordered by block size and then
-    lexicographically. Returns (counts, log multinomial coefficients,
-    block-size index of each row)."""
+    inside the support of some branch (_branch_supports), each once,
+    ordered by block size and then lexicographically. Returns the
+    block-size index of each row and, for each branch, the indices of the
+    rows inside its support with their counts on that support as
+    float64, their log multinomial coefficients and their block-size
+    index. Every array is read-only, as the cache shares it."""
     blocks = []
     for n in range(lo, hi + 1):
-        for support in supports:
+        for support in set(branches) - {()}:
             part = _simplex(n, len(support))
             rows = np.zeros((len(part), ne + 1), dtype=np.int64)
             rows[:, 0] = n
@@ -137,10 +137,15 @@ def _count_rows(lo, hi, ne, supports):
     rows = rows[np.r_[True, (np.diff(rows, axis=0) != 0).any(axis=1)]]
     sizes, counts = rows[:, 0], rows[:, 1:]
     log_multinom = _LOG_FACTORIAL[sizes] - _LOG_FACTORIAL[counts].sum(axis=1)
-    out = counts, log_multinom, sizes - lo
-    for arr in out:  # shared by every caller through the cache
+    index = sizes - lo
+    per_branch = []
+    for ok in branches:
+        at = np.flatnonzero((np.delete(counts, ok, axis=1) == 0).all(axis=1))
+        per_branch.append((at, counts[np.ix_(at, ok)].astype(float),
+                           log_multinom[at], index[at]))
+    for arr in sum(per_branch, (index,)):
         arr.flags.writeable = False
-    return out
+    return index, tuple(per_branch)
 
 
 def _h2_vec(p):
@@ -152,42 +157,36 @@ def _h2_vec(p):
     return out
 
 
-def _block_profiles(dist, ranges):
-    """Exact AdOutcomes of the block sizes lo..hi for each (lo, hi) in
-    ranges, yielded as one list per range and computed in one pass over
-    the count vectors inside the branch supports."""
+def _block_profiles(dist, lo, hi):
+    """Exact block statistics of the block sizes lo..hi in one pass over
+    the count vectors inside the branch supports. Returns the float64
+    arrays (p_accept, eps_post, i_ab, i_ae) over n = lo..hi."""
     eps = error_rate(dist)
     q = _conditional_eve(dist)
-    supports = _branch_supports(q)
-    branches = [(c, k, q[c, k] > 0.0) for c in (0, 1) for k in (0, 1)]
-    for lo, hi in ranges:
-        stats = []
-        pi_k = np.empty((2, hi - lo + 1))
-        for j, n in enumerate(range(lo, hi + 1)):
-            p_acc = (1.0 - eps) ** n + eps ** n
-            eps_post = eps ** n / p_acc
-            pi_k[0, j] = (1.0 - eps) ** n / p_acc
-            pi_k[1, j] = eps ** n / p_acc
-            stats.append((n, p_acc, eps_post, 1.0 - binary_entropy(eps_post)))
-        counts, log_multinom, index = _count_rows(
-            lo, hi, q.shape[2], supports)
-        # w[c] = sum_k pi_k * multinom * prod_e q[c,k,e]^n_e per vector
-        w = np.zeros((2, counts.shape[0]))
-        for c, k, ok in branches:
-            usable = (counts[:, ~ok] == 0).all(axis=1)
-            logs = counts[usable][:, ok] @ np.log(q[c, k, ok]) \
-                + log_multinom[usable]
-            w[c, usable] += pi_k[k, index[usable]] * np.exp(logs)
-        tot = w.sum(axis=0)
-        mask = tot > 0.0
-        h = 0.5 * tot[mask] * _h2_vec(w[0, mask] / tot[mask])
-        # Each block size is summed on its own by ndarray.sum, whose
-        # pairwise order does not depend on the range around it.
-        bounds = np.searchsorted(index[mask], np.arange(hi - lo + 2))
-        h_cond = [h[a:b].sum() for a, b in zip(bounds, bounds[1:])]
-        # I(A;E) >= 0; at D = 0 the sum of 1 - H(A|E) reads -8.9e-16.
-        yield [AdOutcome(n, p_acc, eps_post, i_ab, max(1.0 - float(hc), 0.0))
-               for (n, p_acc, eps_post, i_ab), hc in zip(stats, h_cond)]
+    branches = _branch_supports(q)
+    # Python-float powers, so every n gets the same bits in any range.
+    good = np.array([(1.0 - eps) ** n for n in range(lo, hi + 1)])
+    bad = np.array([eps ** n for n in range(lo, hi + 1)])
+    p_acc = good + bad
+    eps_post = bad / p_acc
+    pi_k = (good / p_acc, eps_post)
+    index, rows = _count_rows(lo, hi, q.shape[2], branches)
+    # w[c] = sum_k pi_k * multinom * prod_e q[c,k,e]^n_e per vector
+    w = np.zeros((2, index.shape[0]))
+    for (c, k), ok, (at, counts, log_multinom, size) in zip(
+            np.ndindex(2, 2), branches, rows):
+        logs = counts @ np.log(q[c, k, list(ok)]) + log_multinom
+        w[c, at] += pi_k[k][size] * np.exp(logs)
+    tot = w.sum(axis=0)
+    mask = tot > 0.0
+    h = 0.5 * tot[mask] * _h2_vec(w[0, mask] / tot[mask])
+    # Each block size is summed on its own by ndarray.sum, whose
+    # pairwise order does not depend on the range around it.
+    bounds = np.searchsorted(index[mask], np.arange(hi - lo + 2)).tolist()
+    h_cond = np.array([h[a:b].sum() for a, b in zip(bounds, bounds[1:])])
+    # I(A;E) >= 0; at D = 0 the sum of 1 - H(A|E) reads -8.9e-16.
+    return (p_acc, eps_post, 1.0 - _h2_vec(eps_post),
+            np.maximum(1.0 - h_cond, 0.0))
 
 
 def ad_exact(dist, n):
@@ -198,7 +197,7 @@ def ad_exact(dist, n):
     (1-eps)^n + eps^n and eps^n / p_accept with eps = P(a != b).
     """
     n = _check("block size", n, 1, MAX_BLOCK, integer=True)
-    return next(_block_profiles(dist, [(n, n)]))[0]
+    return AdOutcome(n, *(float(a[0]) for a in _block_profiles(dist, n, n)))
 
 
 def ad_monte_carlo(dist, n, trials, seed=0):
@@ -289,13 +288,9 @@ def ad_monte_carlo(dist, n, trials, seed=0):
 def ad_min_block(dist, n_max=30):
     """Smallest block size with positive advantage, or None."""
     n_max = _check("n_max", n_max, 1, MAX_BLOCK, integer=True)
-    ranges = [(lo, min(hi, n_max)) for lo, hi in _MIN_BLOCK_RANGES
-              if lo <= n_max]
-    for outs in _block_profiles(dist, ranges):
-        for out in outs:
-            if out.advantage > ADVANTAGE_EPS:
-                return out.block_size
-    return None
+    _, _, i_ab, i_ae = _block_profiles(dist, 1, n_max)
+    hits = np.flatnonzero(i_ab - i_ae > ADVANTAGE_EPS)
+    return int(hits[0]) + 1 if hits.size else None
 
 
 def recurrence_step(f):

@@ -150,7 +150,7 @@ def werner(p):
 
 def singlet_fidelity(rho):
     """Overlap <Phi+|rho|Phi+> of a two-qubit state with the target pair."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = check_density_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError("singlet fidelity is defined for two qubits")
     return float(np.real(PHI_PLUS.conj() @ rho @ PHI_PLUS))

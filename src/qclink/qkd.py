@@ -158,6 +158,8 @@ def square_root_povm(states, priors):
     """
     states = [np.asarray(s, dtype=complex) for s in states]
     priors = np.asarray(priors, dtype=float)
+    for p in priors:
+        _check("prior", p, 0.0, 1.0)
     dim = states[0].shape[0]
     s = np.zeros((dim, dim), dtype=complex)
     for p, v in zip(priors, states):

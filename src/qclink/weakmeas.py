@@ -369,7 +369,9 @@ def peak_separation(t, intensity):
 
     Zero when the profile has a single peak (unresolved regime).
     """
-    y = np.asarray(intensity)
+    t, y = np.asarray(t, dtype=float), np.asarray(intensity, dtype=float)
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        raise ValueError("sample times and intensities must be finite")
     inner = (y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])
     peaks = np.flatnonzero(inner) + 1
     if peaks.size < 2:

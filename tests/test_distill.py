@@ -1,8 +1,10 @@
 """Tests for advantage distillation and the pair-recurrence protocol."""
 
+import dataclasses
 import functools
 import tracemalloc
 
+import block_oracle
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -172,15 +174,15 @@ class TestBlockEngine:
     @pytest.mark.parametrize("d", np.linspace(0.0, 0.5, 26))
     def test_matches_dense_oracle_for_every_block_size(self, d, eve):
         dist = dist_at(d, eve)
-        batched = next(distill._block_profiles(
-            dist, [(1, distill.MAX_BLOCK)]))
+        _, _, i_ab, i_ae = distill._block_profiles(
+            dist, 1, distill.MAX_BLOCK)
         for n in range(1, distill.MAX_BLOCK + 1):
             oracle = dense_i_ae(dist, n)
-            for out in (distill.ad_exact(dist, n), batched[n - 1]):
-                assert out.block_size == n
-                assert out.i_ae == pytest.approx(oracle, abs=1e-14)
-                assert out.advantage == pytest.approx(
-                    out.i_ab - oracle, abs=1e-14)
+            out = distill.ad_exact(dist, n)
+            assert out.block_size == n
+            for ab, ae in ((out.i_ab, out.i_ae), (i_ab[n - 1], i_ae[n - 1])):
+                assert ae == pytest.approx(oracle, abs=1e-14)
+                assert ab - ae == pytest.approx(ab - oracle, abs=1e-14)
 
     @pytest.mark.parametrize("eve", qkd.EVE_MEASUREMENTS)
     def test_min_block_matches_dense_scan(self, eve):
@@ -196,7 +198,8 @@ class TestBlockEngine:
 
     def test_min_block_reaches_every_size_up_to_30(self):
         """Every block size 3..30 is the answer somewhere on this grid, so
-        a block size the batched scan skipped would show."""
+        the first-advantage search over the one-pass arrays is checked at
+        each of them."""
         found = set()
         for d in np.linspace(0.2, 0.27415, 150):
             dist = dist_at(d)
@@ -212,30 +215,77 @@ class TestBlockEngine:
     def test_square_root_rows_are_pruned(self):
         dist = dist_at(0.25, qkd.SQUARE_ROOT_4)
         q = distill._conditional_eve(dist)
-        supports = distill._branch_supports(q)
-        assert supports == ((0, 3), (1, 2))
-        counts = distill._count_rows(1, 64, 4, supports)[0]
+        branches = distill._branch_supports(q)
+        assert set(branches) == {(0, 3), (1, 2)}
+        index = distill._count_rows(1, 64, 4, branches)[0]
         # two 2-symbol supports, n + 1 vectors each, against 814 385
         # vectors over all four symbols
-        assert counts.shape[0] == sum(2 * (n + 1) for n in range(1, 65))
+        assert len(index) == sum(2 * (n + 1) for n in range(1, 65))
 
     def test_overlapping_supports_match_dense_oracle(self):
         dist = overlapping_supports()
         q = distill._conditional_eve(dist)
-        supports = distill._branch_supports(q)
-        assert supports == ((0, 1, 2), (0, 2, 3), (1, 3))
-        counts = distill._count_rows(1, 64, 4, supports)[0]
+        branches = distill._branch_supports(q)
+        assert branches == ((0, 1, 2), (1, 3), (0, 2, 3), (2, 3))
+        index, rows = distill._count_rows(1, 64, 4, branches)
+        counts = np.zeros((len(index), 4))
+        for ok, (at, on_ok, _, _) in zip(branches, rows):
+            counts[np.ix_(at, ok)] = on_ok
         assert len(np.unique(counts, axis=0)) == len(counts)
-        batched = next(distill._block_profiles(
-            dist, [(1, distill.MAX_BLOCK)]))
+        i_ae = distill._block_profiles(dist, 1, distill.MAX_BLOCK)[3]
         for n in range(1, distill.MAX_BLOCK + 1):
             oracle = dense_i_ae(dist, n)
-            assert batched[n - 1].i_ae == pytest.approx(oracle, abs=1e-14)
+            assert i_ae[n - 1] == pytest.approx(oracle, abs=1e-14)
             assert distill.ad_exact(dist, n).i_ae == pytest.approx(
                 oracle, abs=1e-14)
         for n_max in (1, 8, 30, 64):
             assert distill.ad_min_block(dist, n_max) == \
                 dense_min_block(dist, n_max)
+
+
+# D values at the edges of the engine's range: exact zero, the smallest
+# subnormal, tiny disturbances and the pair that brackets the last D with
+# a block n <= 64.
+EDGE_D = (0.0, 5e-324, 1e-300, 1e-12, 0.274157538, 0.274157539, 0.5)
+
+
+def oracle_tables(group):
+    """Symbol tables on which the engine must equal block_oracle bit for
+    bit: 154 D in [0, 0.5] under one Eve measurement, or ("edges") both
+    measurements and both bases at EDGE_D plus overlapping_supports()."""
+    if group != "edges":
+        return [dist_at(float(d), group) for d in np.linspace(0.0, 0.5, 154)]
+    return [qkd.symbol_distribution(qkd.AttackParams(d, eve_measurement=eve),
+                                    basis)
+            for eve in qkd.EVE_MEASUREMENTS for basis in ("z", "x")
+            for d in EDGE_D] + [overlapping_supports()]
+
+
+def outcome_bits(out):
+    """Each AdOutcome field with its type, floats as their exact hex."""
+    return [(type(v), v.hex() if isinstance(v, float) else v)
+            for v in dataclasses.astuple(out)]
+
+
+class TestBlockOracle:
+    """The one-pass engine against the block-range engine it replaced
+    (tests/block_oracle.py): equal bits, not only equal values."""
+
+    @pytest.mark.parametrize("group", [*qkd.EVE_MEASUREMENTS, "edges"])
+    def test_ad_exact_is_bit_identical(self, group):
+        sizes = range(1, distill.MAX_BLOCK + 1)
+        for dist in oracle_tables(group):
+            oracle = block_oracle.block_profiles(dist, [(n, n) for n in sizes])
+            for n, (want,) in zip(sizes, oracle):
+                assert outcome_bits(distill.ad_exact(dist, n)) == \
+                    outcome_bits(want), n
+
+    @pytest.mark.parametrize("group", [*qkd.EVE_MEASUREMENTS, "edges"])
+    def test_min_block_is_identical(self, group):
+        for dist in oracle_tables(group):
+            for n_max in (1, 8, 30, 64):
+                assert distill.ad_min_block(dist, n_max) == \
+                    block_oracle.ad_min_block(dist, n_max), n_max
 
 
 def one_shot_monte_carlo(dist, n, trials, seed):

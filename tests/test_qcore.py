@@ -190,6 +190,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             qcore.check_density_matrix(bad)
 
+    @pytest.mark.parametrize("bad", [2 * np.eye(4) / 4,
+                                     np.full((4, 4), np.nan)])
+    def test_two_qubit_functions_validate_alike(self, bad):
+        """singlet_fidelity used to read 0.4999999999999999 off a trace-2
+        matrix and nan off a NaN one, where its siblings raise."""
+        for f in (qcore.is_entangled, qcore.chsh_max, qcore.singlet_fidelity):
+            with pytest.raises(ValueError):
+                f(bad)
+
 
 class TestEigHermitian:
     def test_identity(self):

@@ -216,6 +216,13 @@ class TestSymbolDistribution:
         assert t[0, 0, 1] + t[0, 0, 2] == pytest.approx(0.0, abs=1e-12)
         assert t[0, 1, 0] + t[0, 1, 3] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("priors", [(-1.0, 2.0), (0.5, np.nan),
+                                        (np.inf, 0.5)])
+    def test_square_root_povm_rejects_bad_priors(self, priors):
+        """Priors (-1, 2) used to give a "POVM" whose first element is -0."""
+        with pytest.raises(ValueError, match="prior"):
+            qkd.square_root_povm([qcore.KET_0, qcore.KET_1], priors)
+
 
 class TestHelstrom:
     def test_identical_states(self):

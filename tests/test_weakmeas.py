@@ -593,3 +593,12 @@ class TestTransitionSweep:
 
         assert separation(0.1) == 0.0
         assert separation(8.0) == pytest.approx(8.0, abs=0.05)
+
+    @pytest.mark.parametrize("t,y", [
+        (np.arange(5.0), [np.nan] * 5),
+        (np.arange(5.0), [0.0, 1.0, np.inf, 1.0, 0.0]),
+        ([0.0, 1.0, np.nan, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0, 0.0])])
+    def test_peak_separation_needs_finite_samples(self, t, y):
+        """NaN intensities used to read as a single peak (0.0)."""
+        with pytest.raises(ValueError, match="finite"):
+            wm.peak_separation(t, y)
