@@ -131,11 +131,12 @@ def helstrom(rho0, rho1, prior0=0.5):
     Returns (success_probability, (Pi0, Pi1)). Pi0 projects on the
     positive eigenspace of prior0*rho0 - prior1*rho1, so the success
     probability equals (1 + ||prior0 rho0 - prior1 rho1||_1) / 2 at
-    equal-dimension inputs.
+    equal-dimension inputs. Each state must pass
+    qcore.check_density_matrix.
     """
     _check("prior", prior0, 0.0, 1.0)
-    rho0 = np.asarray(rho0, dtype=complex)
-    rho1 = np.asarray(rho1, dtype=complex)
+    rho0 = qcore.check_density_matrix(rho0)
+    rho1 = qcore.check_density_matrix(rho1)
     if rho0.shape != rho1.shape:
         raise ValueError(f"dimension mismatch: {rho0.shape} vs {rho1.shape}")
     gamma = prior0 * rho0 - (1.0 - prior0) * rho1

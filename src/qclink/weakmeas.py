@@ -23,7 +23,10 @@ Pi = K^dag K the post-selection operator and sigma the +1/-1 operator
 on the delay eigenmodes. The field's numeric integrals below are the
 independent cross-check for both.
 
-A chain of elements leaves a field E(t) = sum_j a_j exp(-(t-d_j)^2/(2 t_c^2)).
+A chain of elements leaves a field E(t) = sum_j a_j exp(-(t-d_j)^2/(2 t_c^2)),
+one term per path through its delay sections, except that terms whose
+delays coincide exactly merge as the chain is built: k sections of one
+delay keep O(k) terms, not 2^k.
 Its energy and mean arrival time are the integrals of |E|^2 and t |E|^2,
 taken by the trapezoid rule on a uniform grid of step t_c/2.5 around each
 cluster of delays (clusters split at gaps over 15 t_c; a grid reaches
@@ -33,7 +36,8 @@ hold from t_c near the smallest subnormal to delays near the largest
 float. Every cross term of |E|^2 is a Gaussian
 of width t_c/sqrt(2), so the rule errs by at most 2 exp(-6.25 pi^2) ~ 3e-27
 relative (Trefethen & Weideman, SIAM Review 56, 385, 2014) and the cut
-grid by erfc(7.5) ~ 3e-26; round-off dominates. The cost is terms x nodes.
+grid by erfc(7.5) ~ 3e-26; round-off dominates. The cost is terms x nodes,
+paid once per field: energy and mean arrival time share one cached sum.
 A pulse counts as blocked when at most BLOCKED_FRACTION of its input
 energy passes.
 """
@@ -143,11 +147,14 @@ class PropagatedField:
 
     def __init__(self, t_c, delays, amps):
         self.t_c = float(_check("pulse width", t_c, math.ulp(0.0)))
-        self.delays = np.atleast_1d(np.asarray(delays, dtype=float))
-        self.amps = np.asarray(amps, dtype=complex).reshape(-1, 2)
+        # Read-only copies: the integrals below are cached per field.
+        self.delays = np.array(delays, dtype=float, ndmin=1)
+        self.amps = np.array(amps, dtype=complex).reshape(-1, 2)
+        self.delays.flags.writeable = self.amps.flags.writeable = False
+        self._sums = None
         if self.delays.shape[0] != self.amps.shape[0]:
             raise ValueError("delays and amplitudes differ in length")
-        # A finite spread keeps every delay difference in _moments finite;
+        # A finite spread keeps every delay difference in _trapezoid finite;
         # in Python floats it overflows to inf without a warning.
         spread = (float(self.delays.max()) - float(self.delays.min())
                   if self.delays.size else 0.0)
@@ -157,7 +164,10 @@ class PropagatedField:
 
     def sample(self, t):
         """Complex field components on a time grid, shape (len(t), 2)."""
-        x = np.subtract.outer(self.delays, np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        if not np.isfinite(t).all():
+            raise ValueError("sample times must be finite")
+        x = np.subtract.outer(self.delays, t)
         # An overflow gives x * x = inf, so exp() = 0: the pulse is gone.
         with np.errstate(over="ignore"):
             x /= self.t_c
@@ -171,6 +181,12 @@ class PropagatedField:
         return (e.real ** 2 + e.imag ** 2)
 
     def _moments(self):
+        """The field's trapezoid sums, computed on first use."""
+        if self._sums is None:
+            self._sums = self._trapezoid()
+        return self._sums
+
+    def _trapezoid(self):
         """Trapezoid sums of |E|^2 and u |E|^2 per cluster of delays.
 
         Node offsets u are in units of t_c from the cluster's first delay,
@@ -229,12 +245,29 @@ class PropagatedField:
         raise ValueError("no transmitted energy: the field is fully blocked")
 
 
+def _merge_coincident(delays, amps):
+    """Sum the amplitudes of terms whose delays are exactly equal into one
+    term, in ascending delay order. Without a repeated delay the terms are
+    returned as they are, in their own order."""
+    d = np.sort(delays)
+    rises = d[1:] != d[:-1]
+    if np.count_nonzero(rises) == rises.size:
+        return delays, amps
+    first = np.concatenate(([True], rises)).nonzero()[0]
+    order = np.argsort(delays, kind="stable")
+    return d[first], np.add.reduceat(amps[order], first, axis=0)
+
+
 def propagate(pulse, elements):
     """Send a pulse through an ordered chain of delay and loss elements.
 
-    An empty chain returns the input as a one-term field. Output energy
-    never exceeds the input energy and is conserved exactly when the
-    chain contains no loss element.
+    An empty chain returns the input as a one-term field. A delay section
+    sends each term's slow and fast components to two new terms; terms
+    whose delays then coincide exactly merge into one, so k sections of
+    one delay keep O(k) terms instead of 2^k. Where no delay repeats, the
+    terms keep one per path, in chain order. Terms of zero amplitude are
+    dropped. Output energy never exceeds the input energy and is
+    conserved exactly when the chain contains no loss element.
     """
     delays, amps = np.zeros(1), pulse.jones[None, :]
     # A delay past the float range becomes inf, which PropagatedField
@@ -242,18 +275,20 @@ def propagate(pulse, elements):
     with np.errstate(over="ignore"):
         for element in elements:
             if isinstance(element, PmdElement):
-                slow, fast = element.slow_fast()
-                cs = amps @ slow.astype(complex)
-                cf = amps @ fast.astype(complex)
-                delays = np.concatenate([delays + element.delta_tau / 2.0,
-                                         delays - element.delta_tau / 2.0])
-                amps = np.vstack([np.outer(cs, slow), np.outer(cf, fast)])
+                slow, fast = (m.astype(complex) for m in element.slow_fast())
+                half = element.delta_tau / 2.0
+                # Slow-mode terms at +half first, then fast at -half.
+                delays, amps = _merge_coincident(
+                    np.add.outer((half, -half), delays).ravel(),
+                    np.concatenate([(amps @ slow)[:, None] * slow,
+                                    (amps @ fast)[:, None] * fast]))
             elif isinstance(element, PdlElement):
                 amps = amps @ element.jones_matrix().T.astype(complex)
             else:
                 raise ValueError(f"unknown element {element!r}")
-            keep = (np.abs(amps) ** 2).sum(axis=1) > 0.0
-            delays, amps = delays[keep], amps[keep]
+            keep = amps.any(axis=1)
+            if np.count_nonzero(keep) < keep.size:
+                delays, amps = delays[keep], amps[keep]
     return PropagatedField(pulse.t_c, delays, amps)
 
 

@@ -268,6 +268,19 @@ class TestHelstrom:
         with pytest.raises(ValueError):
             qkd.helstrom(rho, rho, prior0=1.5)
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.eye(2), "trace"),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "Hermitian"),
+        (np.diag([1.5, -0.5]), "eigenvalue"),
+        (np.full((2, 2), np.nan), "Hermitian"),
+        (np.eye(3) / 3, "dimension")])
+    def test_invalid_states_rejected(self, bad, message):
+        """A trace-2 state once gave success probability 1.0."""
+        rho = np.eye(2, dtype=complex) / 2
+        for pair in ((bad, rho), (rho, bad)):
+            with pytest.raises(ValueError, match=message):
+                qkd.helstrom(*pair)
+
 
 class TestMutualInformation:
     def test_independent(self):

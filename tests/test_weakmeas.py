@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import simpson
 
 from qclink import weakmeas as wm
+from term_oracle import propagate_terms
 
 TC = 1.0
 
@@ -271,6 +272,128 @@ class TestTrapezoidMoments:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
                 wm.propagate(pulse, chain)
+
+    def test_one_quadrature_per_field(self, monkeypatch):
+        calls = []
+        trapezoid = wm.PropagatedField._trapezoid
+
+        def counted(field):
+            calls.append(field)
+            return trapezoid(field)
+
+        monkeypatch.setattr(wm.PropagatedField, "_trapezoid", counted)
+        pulse = wm.PolarizedPulse(TC, wm.jones_elliptical(0.7, 0.4))
+        chain = [wm.PmdElement(0.4, 0.2), wm.PmdElement(0.9, 1.3)]
+        field = wm.propagate(pulse, chain)
+        toa, energy = field.mean_toa(), field.energy()
+        assert len(calls) == 1
+        assert (field.mean_toa(), field.energy()) == (toa, energy)
+        assert len(calls) == 1
+        fresh = wm.propagate(pulse, chain)
+        assert (fresh.energy(), fresh.mean_toa()) == (energy, toa)
+        assert len(calls) == 2
+
+    def test_terms_are_read_only_copies(self):
+        delays, amps = np.array([0.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]])
+        field = wm.PropagatedField(TC, delays, amps)
+        energy = field.energy()
+        delays[1], amps[1, 1] = 5.0, 3.0
+        assert field.delays[1] == 1.0 and field.amps[1, 1] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            field.delays[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            field.amps[0, 0] = 2.0
+        assert field.energy() == energy
+
+    @pytest.mark.parametrize("t", [[np.nan], [0.0, np.inf], [-np.inf, 1.0]])
+    def test_samples_need_finite_times(self, t):
+        field = wm.propagate(wm.PolarizedPulse(TC, [1, 1]),
+                             [wm.PmdElement(0.5)])
+        with pytest.raises(ValueError, match="sample times must be finite"):
+            field.sample(t)
+        with pytest.raises(ValueError, match="sample times must be finite"):
+            field.intensity(t)
+
+
+def equal_delay_chain(rng, t_c, sections, loss):
+    """Random-axis sections of one delay (0.05 to 3 t_c), with up to three
+    loss elements of at most 30 dB in between when loss is set."""
+    dtau = t_c * rng.uniform(0.05, 3.0)
+    chain = [wm.PmdElement(dtau, rng.uniform(0, np.pi))
+             for _ in range(sections)]
+    for _ in range(rng.integers(1, 4) if loss else 0):
+        chain.insert(rng.integers(0, len(chain) + 1),
+                     wm.PdlElement(rng.uniform(0.0, 30.0), rng.uniform(0, np.pi)))
+    return chain, sections * dtau / 2.0
+
+
+class TestCoincidentDelays:
+    """propagate merges terms of equal delay; term_oracle keeps one term
+    per path through the delay sections."""
+
+    @pytest.mark.parametrize("loss", [False, True])
+    @pytest.mark.parametrize("sections", [2, 3, 5, 8, 12])
+    def test_equal_delays_match_term_oracle(self, sections, loss):
+        rng = np.random.default_rng(40 + 2 * sections + loss)
+        for _ in range(6):
+            t_c = rng.uniform(0.2, 3.0)
+            pulse = wm.PolarizedPulse(t_c, elliptical(rng))
+            chain, spread = equal_delay_chain(rng, t_c, sections, loss)
+            field, oracle = (wm.propagate(pulse, chain),
+                             propagate_terms(pulse, chain))
+            assert field.delays.size <= 4 * (sections + 1)
+            assert field.delays.size < oracle.delays.size
+            assert np.unique(field.delays).size == field.delays.size
+            assert field.energy() == pytest.approx(oracle.energy(), rel=1e-12)
+            assert field.mean_toa() == pytest.approx(
+                oracle.mean_toa(), rel=1e-12, abs=1e-12 * spread)
+
+    def test_coincident_pair_merges(self):
+        """A zero delay sends both components to t = 0: one term, the
+        input itself."""
+        pulse = wm.PolarizedPulse(TC, wm.jones_elliptical(0.7, 0.4))
+        field = wm.propagate(pulse, [wm.PmdElement(0.0, 0.3)])
+        assert field.delays.tolist() == [0.0]
+        np.testing.assert_allclose(field.amps[0], pulse.jones, atol=1e-16)
+        assert propagate_terms(pulse, [wm.PmdElement(0.0, 0.3)]).delays.size == 2
+
+    def test_distinct_delays_keep_the_oracle_terms(self):
+        """Without a repeated delay the terms are the oracle's, bit for bit
+        and in its order: one delay and one loss element as in the CLI,
+        and longer random chains."""
+        rng = np.random.default_rng(41)
+        for case in range(300):
+            t_c = rng.uniform(0.2, 3.0)
+            pulse = wm.PolarizedPulse(t_c, elliptical(rng))
+            chain = ([wm.PmdElement(t_c * 10.0 ** rng.uniform(-3.0, 1.0)),
+                      wm.PdlElement(rng.uniform(0.0, 30.0),
+                                    rng.uniform(0, np.pi))] if case < 200
+                     else random_chain(rng, t_c, rng.integers(1, 11)))
+            field, oracle = (wm.propagate(pulse, chain),
+                             propagate_terms(pulse, chain))
+            assert np.array_equal(field.delays, oracle.delays)
+            assert np.array_equal(field.amps, oracle.amps)
+            assert field.mean_toa() == oracle.mean_toa()
+
+    def test_long_equal_delay_chain(self):
+        """64 sections: at most 4 x 65 terms, against 2^64 paths. The first
+        16 sections are checked on their own first, so a propagate that
+        stops merging fails there instead of exhausting memory."""
+        rng = np.random.default_rng(64)
+        pulse = wm.PolarizedPulse(TC, elliptical(rng))
+        chain, spread = equal_delay_chain(rng, TC, 64, loss=False)
+        assert wm.propagate(pulse, chain[:16]).delays.size <= 4 * 17
+        tracemalloc.start()
+        try:
+            field = wm.propagate(pulse, chain)
+            toa, energy = field.mean_toa(), field.energy()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.delays.size <= 4 * 65
+        assert peak < 50 * 2 ** 20
+        assert energy == pytest.approx(np.sqrt(np.pi) * TC, rel=1e-12)
+        assert abs(toa) <= spread
 
 
 class TestMeanToa:
