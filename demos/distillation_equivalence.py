@@ -46,10 +46,11 @@ print("Every accepted round trades pairs for fidelity; with F > 1/2 the")
 print("iteration climbs toward a perfect pair, after which measuring in")
 print("matching bases hands both partners an identical secret bit.")
 
-# cross-check of the fidelity map against the explicit two-pair protocol
+# cross-check of the fidelity map against the bilateral-CNOT round on the
+# four Bell weights
 w = np.array([f, (1 - f) / 3, (1 - f) / 3, (1 - f) / 3])
-explicit_w, p = distill.recurrence_explicit(w)
+round_w, p = distill.recurrence_weights(w)
 mapped, p_map = distill.recurrence_step(f)
 print()
-print(f"explicit 16-dim protocol: F' = {explicit_w[0]:.12f} (p = {p:.6f})")
+print(f"Bell-weight CNOT round:   F' = {round_w[0]:.12f} (p = {p:.6f})")
 print(f"fidelity-level map:       F' = {mapped:.12f} (p = {p_map:.6f})")

@@ -1,8 +1,9 @@
 """qclink: numerical workbench for classical/quantum correspondences.
 
 Subpackages:
-    qcore    two-qubit states, PPT and CHSH criteria
-    qkd      entangled-pair protocol under an individual attack
+    qcore    two-qubit states and the PPT entanglement test
+    qkd      entangled-pair protocol under an individual attack, in
+             closed form from the four Bell weights
     distill  classical advantage distillation and pair recurrence
     cloning  optimal copying fidelity and optical amplification
     weakmeas polarized pulses, birefringent delay, lossy post-selection

@@ -97,8 +97,7 @@ def _post_element(params):
 def cmd_qkd_sweep(params, seed):
     n_max = params["n-max"]
     sweep = distill.equivalence_sweep(_d_grid(params), n_max=n_max,
-                                      eve_measurement=params["eve"],
-                                      basis=params["basis"])
+                                      eve_measurement=params["eve"])
     fields = ["d", "i_ab", "i_ae", "chsh", "entangled", "min_pt_eigenvalue",
               "singlet_fidelity"]
     if n_max is not None:
@@ -268,7 +267,7 @@ COMMANDS = {
     ("qkd", "sweep"): (cmd_qkd_sweep, {
         "d-min": (float, 0.0, _D_RANGE), "d-max": (float, 0.4, _D_RANGE),
         "steps": (int, 41, _STEPS),
-        "eve": (EVE_CHOICES, qkd.HELSTROM_BINARY), "basis": (["z", "x"], "z"),
+        "eve": (EVE_CHOICES, qkd.HELSTROM_BINARY),
         "n-max": (int, None, _BLOCKS)}),
     ("qkd", "thresholds"): (cmd_qkd_thresholds, {
         "tol": (float, 1e-6), "eve": (EVE_CHOICES, qkd.HELSTROM_BINARY)}),

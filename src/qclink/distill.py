@@ -28,9 +28,10 @@ each block from its raw uniforms and decodes only the accepted blocks,
 so it holds one chunk plus 8 bytes per trial.
 
 Quantum route: the standard two-pair recurrence step at the fidelity
-level, F' = (F^2 + ((1-F)/3)^2) / (F^2 + 2F(1-F)/3 + 5((1-F)/3)^2),
-validated against an explicit 16-dimensional simulation of the bilateral
-CNOT protocol on Bell-diagonal inputs.
+level, F' = (F^2 + ((1-F)/3)^2) / (F^2 + 2F(1-F)/3 + 5((1-F)/3)^2), and
+the bilateral-CNOT round on any Bell-diagonal pair as a closed map of
+its four weights (recurrence_weights), whose first weight reproduces
+F' on the Werner-form input (F, r, r, r) with r = (1-F)/3.
 """
 
 import functools
@@ -318,44 +319,29 @@ def recurrence_iterate(f0, rounds):
     return tuple(steps)
 
 
-def _cnot_16(control, target):
-    """CNOT between two of four qubits as a 16x16 permutation."""
-    u = np.zeros((16, 16))
-    for idx in range(16):
-        bits = [(idx >> (3 - q)) & 1 for q in range(4)]
-        bits[target] ^= bits[control]
-        out = sum(bit << (3 - q) for q, bit in enumerate(bits))
-        u[out, idx] = 1.0
-    return u
+def recurrence_weights(weights):
+    """One bilateral-CNOT recurrence round on a Bell-diagonal pair.
 
-
-def recurrence_explicit(weights):
-    """Explicit two-pair protocol on a Bell-diagonal state.
-
-    Builds rho x rho on qubits (A1, B1, A2, B2), applies the bilateral
-    CNOT (A1->A2, B1->B2), measures the target pair in the computational
-    basis, keeps coinciding outcomes, and returns the Bell-basis weights
-    of the kept pair together with the success probability. Validation
-    path for recurrence_step.
+    Both pairs of rho x rho undergo the bilateral CNOT, the target pair
+    is measured in the z basis and the kept pair survives when the two
+    outcomes coincide (Bennett et al., PRA 54, 3824, 1996). On the Bell
+    weights lam = (Phi+, Phi-, Psi+, Psi-) this is the map
+    lam' = (lam_0^2 + lam_1^2, 2 lam_0 lam_1, lam_2^2 + lam_3^2,
+    2 lam_2 lam_3) / N with success probability
+    N = (lam_0 + lam_1)^2 + (lam_2 + lam_3)^2. Weights must be
+    nonnegative and sum to 1 within qcore.WEIGHT_ATOL. Returns (lam', N).
     """
-    rho = qcore.bell_diagonal(weights)
-    big = np.kron(rho, rho)  # qubit order A1, B1, A2, B2
-    u = _cnot_16(1, 3) @ _cnot_16(0, 2)
-    big = u @ big @ u.conj().T
-    p_success = 0.0
-    kept = np.zeros((4, 4), dtype=complex)
-    for m in (0, 1):
-        proj = np.kron(np.kron(np.eye(4), qcore.dm(qcore.KET_0 if m == 0 else qcore.KET_1)),
-                       qcore.dm(qcore.KET_0 if m == 0 else qcore.KET_1))
-        # projector on A2 = B2 = m (last two tensor slots)
-        p_m = np.trace(big @ proj).real
-        p_success += p_m
-        r4 = (proj @ big @ proj).reshape(4, 4, 4, 4)
-        kept += np.einsum("ikjk->ij", r4)
-    kept /= p_success
-    new_weights = np.array([
-        float(np.real(b.conj() @ kept @ b)) for b in qcore.BELL_BASIS])
-    return new_weights, float(p_success)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (4,):
+        raise ValueError("need exactly four Bell weights")
+    if not (w >= -qcore.WEIGHT_ATOL).all():
+        raise ValueError(f"negative or NaN Bell weight in {w}")
+    if abs(w.sum() - 1.0) > qcore.WEIGHT_ATOL:
+        raise ValueError(f"Bell weights sum to {w.sum()!r}, not 1")
+    l0, l1, l2, l3 = np.clip(w, 0.0, None)
+    n = (l0 + l1) ** 2 + (l2 + l3) ** 2
+    return np.array([l0 * l0 + l1 * l1, 2.0 * l0 * l1,
+                     l2 * l2 + l3 * l3, 2.0 * l2 * l3]) / n, float(n)
 
 
 @dataclass(frozen=True)
@@ -372,17 +358,16 @@ class EquivalenceRow:
     ad_min_block: int | None
 
 
-def equivalence_sweep(d_grid, n_max=30, eve_measurement=HELSTROM_BINARY,
-                      basis="z"):
+def equivalence_sweep(d_grid, n_max=30, eve_measurement=HELSTROM_BINARY):
     """Per-disturbance table of the pair state's entanglement, CHSH value
     and singlet fidelity (closed forms, qkd.pair_criteria), the one-copy
-    informations in the given basis and the smallest distillable block
-    size. n_max=None skips the block scan and leaves ad_min_block None."""
+    informations and the smallest distillable block size. n_max=None
+    skips the block scan and leaves ad_min_block None."""
     rows = []
     for d in np.asarray(d_grid, dtype=float):
         d = float(d)
         dist = symbol_distribution(
-            AttackParams(d, eve_measurement=eve_measurement), basis)
+            AttackParams(d, eve_measurement=eve_measurement))
         lo, chsh, fidelity = pair_criteria(d)
         rows.append(EquivalenceRow(
             d=d, entangled=lo < -qcore.PPT_MARGIN, min_pt_eigenvalue=lo,

@@ -1,5 +1,5 @@
-"""Two-qubit state toolbox: partial transpose, entanglement (PPT) and
-maximal CHSH value, standard state constructors.
+"""Two-qubit state toolbox: partial transpose, entanglement (PPT) test,
+singlet fidelity, standard state constructors.
 
 States are plain numpy arrays: kets as complex vectors, density matrices
 as complex square matrices. Validators raise ValueError when an input
@@ -14,13 +14,8 @@ from ._checks import check as _check
 TRACE_ATOL = 1e-10
 HERM_ATOL = 1e-10
 EIG_ATOL = 1e-10
-WEIGHT_ATOL = 1e-12
+WEIGHT_ATOL = 1e-12  # Bell weights: nonnegative and summing to 1
 PPT_MARGIN = 1e-9  # entangled: partial-transpose eigenvalue below -margin
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 KET_0 = np.array([1, 0], dtype=complex)
 KET_1 = np.array([0, 1], dtype=complex)
@@ -69,19 +64,6 @@ def check_density_matrix(rho):
     return rho
 
 
-def eig_hermitian(m):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvectors as columns). Raises
-    ValueError for non-Hermitian input.
-    """
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m):
-        raise ValueError("input is not Hermitian within 1e-10")
-    vals, vecs = np.linalg.eigh(m)
-    return vals, vecs
-
-
 def partial_transpose(rho):
     """Transpose the second qubit of a two-qubit operator."""
     rho = np.asarray(rho, dtype=complex)
@@ -104,42 +86,6 @@ def is_entangled(rho):
         raise ValueError("entanglement test is defined for two qubits")
     lo = float(np.linalg.eigvalsh(partial_transpose(rho))[0])
     return lo < -PPT_MARGIN, lo
-
-
-def chsh_max(rho):
-    """Largest CHSH value reachable with projective measurements on rho.
-
-    Equals 2*sqrt(u1 + u2) with u1, u2 the two largest eigenvalues of
-    T^T T, T_ij = Tr(rho sigma_i x sigma_j); the state violates the
-    inequality iff the value exceeds 2.
-    """
-    rho = check_density_matrix(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("CHSH value is defined for two qubits")
-    t = np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in PAULIS]
-                  for si in PAULIS])
-    u = np.linalg.eigvalsh(t.T @ t)
-    return float(2.0 * np.sqrt(max(u[-1] + u[-2], 0.0)))
-
-
-def bell_diagonal(weights):
-    """Mixture of the four Bell states with the given probabilities.
-
-    Order (Phi+, Phi-, Psi+, Psi-). Weights must be nonnegative and sum
-    to 1 within 1e-12.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (4,):
-        raise ValueError("need exactly four Bell weights")
-    if not (w >= -WEIGHT_ATOL).all():
-        raise ValueError(f"negative or NaN Bell weight in {w}")
-    if abs(w.sum() - 1.0) > WEIGHT_ATOL:
-        raise ValueError(f"Bell weights sum to {w.sum()!r}, not 1")
-    w = np.clip(w, 0.0, None)
-    rho = np.zeros((4, 4), dtype=complex)
-    for wi, ket in zip(w, BELL_BASIS):
-        rho += wi * dm(ket)
-    return rho
 
 
 def werner(p):

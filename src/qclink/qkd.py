@@ -15,6 +15,9 @@ and no measurement is diagonalised: each of her probes lies in a
 two-register parity block, and both measurements project that block on
 (|p> +- |q>) / sqrt(2). The square-root outcome is her guess plus the
 pair parity, so its supports {0, 3} and {1, 2} hold by construction.
+Since lam_1 = lam_2, both protocol bases give the same table. The
+three-party state and the diagonalised measurements are the test oracle
+in tests/eve_tables.py.
 """
 
 import math
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qcore
 from ._checks import check as _check
 
 HELSTROM_BINARY = "helstrom_binary"
@@ -33,14 +35,9 @@ EVE_MEASUREMENTS = (HELSTROM_BINARY, SQUARE_ROOT_4)
 _BELL_CORRELATIONS = np.array([[1, -1, 1, -1], [-1, 1, 1, -1],
                                [1, 1, -1, -1]])
 
-BASES = ("z", "x")
-_BASIS_KETS = {
-    "z": (qcore.KET_0, qcore.KET_1),
-    "x": (qcore.KET_PLUS, qcore.KET_MINUS),
-}
 # Eve's registers (p, q) that carry her probe for outcome pairs of parity
-# a ^ b = 0 and 1, in each basis.
-_PARITY_BLOCKS = {"z": ((0, 1), (2, 3)), "x": ((0, 2), (1, 3))}
+# a ^ b = 0 and 1.
+_PARITY_BLOCKS = ((0, 1), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -99,108 +96,26 @@ def pair_criteria(d):
             float(lam[0]))
 
 
-def attack_state(params):
-    """Three-party pure state sum_i sqrt(lam_i) |Bell_i>_AB |e_i>_E.
-
-    The 16 amplitudes are ordered with Eve's 4-dim register as the fastest
-    index. Tracing out Eve returns the Bell-diagonal pair state.
-    """
-    lam = bell_weights(params.disturbance)
-    return (np.array(qcore.BELL_BASIS).T * np.sqrt(lam)).ravel()
-
-
-def conditional_probes(psi_abe, basis="z"):
-    """Eve's unnormalised probe vector for each sifted outcome pair.
-
-    Returns a dict (a, b) -> 4-component vector v with |v|^2 = P(a, b).
-    """
-    if basis not in BASES:
-        raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
-    kets = _BASIS_KETS[basis]
-    psi = np.asarray(psi_abe, dtype=complex).reshape(2, 2, 4)
-    probes = {}
-    for a, ka in enumerate(kets):
-        for b, kb in enumerate(kets):
-            probes[a, b] = np.einsum("i,j,ijk->k", ka.conj(), kb.conj(), psi)
-    return probes
-
-
-def helstrom(rho0, rho1, prior0=0.5):
-    """Optimal two-outcome discrimination of rho0 vs rho1.
-
-    Returns (success_probability, (Pi0, Pi1)). Pi0 projects on the
-    positive eigenspace of prior0*rho0 - prior1*rho1, so the success
-    probability equals (1 + ||prior0 rho0 - prior1 rho1||_1) / 2 at
-    equal-dimension inputs. Each state must pass
-    qcore.check_density_matrix.
-    """
-    _check("prior", prior0, 0.0, 1.0)
-    rho0 = qcore.check_density_matrix(rho0)
-    rho1 = qcore.check_density_matrix(rho1)
-    if rho0.shape != rho1.shape:
-        raise ValueError(f"dimension mismatch: {rho0.shape} vs {rho1.shape}")
-    gamma = prior0 * rho0 - (1.0 - prior0) * rho1
-    vals, vecs = qcore.eig_hermitian(gamma)
-    plus = vecs[:, vals > 0.0]
-    pi0 = plus @ plus.conj().T
-    pi1 = np.eye(rho0.shape[0], dtype=complex) - pi0
-    success = prior0 * np.trace(pi0 @ rho0).real \
-        + (1.0 - prior0) * np.trace(pi1 @ rho1).real
-    return float(success), (pi0, pi1)
-
-
-def square_root_povm(states, priors):
-    """Square-root (pretty good) measurement for an ensemble of kets.
-
-    states: sequence of normalised vectors, priors: their probabilities.
-    Returns the list of POVM elements Pi_i = p_i S^-1/2 |s_i><s_i| S^-1/2
-    completed with the projector on the unused subspace added to the last
-    element, so the elements always sum to the identity.
-    """
-    states = [np.asarray(s, dtype=complex) for s in states]
-    priors = np.asarray(priors, dtype=float)
-    for p in priors:
-        _check("prior", p, 0.0, 1.0)
-    dim = states[0].shape[0]
-    s = np.zeros((dim, dim), dtype=complex)
-    for p, v in zip(priors, states):
-        s += p * np.outer(v, v.conj())
-    vals, vecs = qcore.eig_hermitian(s)
-    inv_sqrt = np.zeros_like(vals)
-    support = vals > 1e-14
-    inv_sqrt[support] = 1.0 / np.sqrt(vals[support])
-    s_inv_sqrt = (vecs * inv_sqrt) @ vecs.conj().T
-    povm = []
-    for p, v in zip(priors, states):
-        w = s_inv_sqrt @ v
-        povm.append(p * np.outer(w, w.conj()))
-    # Complete on the kernel of S (never hit by the ensemble).
-    kernel = vecs[:, ~support]
-    if kernel.shape[1]:
-        povm[-1] = povm[-1] + kernel @ kernel.conj().T
-    return povm
-
-
-def symbol_distribution(params, basis="z"):
+def symbol_distribution(params):
     """Classical joint distribution P(a, b, e) after sifting.
 
-    The partners measure the announced basis. Eve's probe for the outcome
-    pair (a, b) is (sqrt(lam_p) |p> +- sqrt(lam_q) |q>) / sqrt(2) on the
-    registers (p, q) of parity block a ^ b, and both of her measurements
-    project each block on (|p> +- |q>) / sqrt(2). Her guess g of a thus
+    The partners measure the z basis; the x basis pairs the registers
+    (0, 2) and (1, 3) instead, which gives the same table since
+    lam_1 = lam_2. Eve's probe for the outcome pair (a, b) is
+    (sqrt(lam_p) |p> +- sqrt(lam_q) |q>) / sqrt(2) on the registers
+    (p, q) of parity block a ^ b, and both of her measurements project
+    each block on (|p> +- |q>) / sqrt(2). Her guess g of a thus
     has P(a, b, g) = (sqrt(lam_p) + (-1)^(a^g) sqrt(lam_q))^2 / 4. The
     binary (Helstrom) measurement reports e = g; where lam_p lam_q = 0
     the block's two probes coincide and all of it goes to e = 1. The
     square-root measurement reports e = 2g + (g ^ a ^ b), the guess plus
     the parity, so its supports are {0, 3} and {1, 2}.
     """
-    if basis not in BASES:
-        raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
     root = np.sqrt(bell_weights(params.disturbance))
     four = params.eve_measurement == SQUARE_ROOT_4
     table = np.zeros((2, 2, 4 if four else 2))
     for a, b, g in np.ndindex(2, 2, 2):
-        p, q = _PARITY_BLOCKS[basis][a ^ b]
+        p, q = _PARITY_BLOCKS[a ^ b]
         if four:
             e = 2 * g + (g ^ a ^ b)
         else:

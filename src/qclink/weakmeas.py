@@ -60,7 +60,7 @@ MAX_GRID_POINTS = 1_000_000
 # Trapezoid quadrature behind PropagatedField.energy and mean_toa.
 QUAD_STEP = 1.0 / 2.5  # node spacing, in units of t_c
 QUAD_PAD = 7.5  # node reach beyond a cluster's outer delays, in units of t_c
-QUAD_BLOCK = (128, 2048)  # nodes x terms per exp block: 2 MB of float64
+QUAD_BLOCK = (128, 2048)  # nodes or points x terms per exp block: 2 MB
 # Transmitted share of the input energy (unit Jones vector) at or below
 # which a pulse counts as blocked: arrival times and weak values raise.
 BLOCKED_FRACTION = 1e-12
@@ -163,17 +163,28 @@ class PropagatedField:
                              "finite")
 
     def sample(self, t):
-        """Complex field components on a time grid, shape (len(t), 2)."""
+        """Complex field components on a time grid, shape (len(t), 2).
+
+        The terms x points exponentials are built a block of points at a
+        time, each block within the QUAD_BLOCK budget.
+        """
         t = np.asarray(t, dtype=float)
+        if t.ndim != 1:
+            raise ValueError(f"sample times must form a 1-D grid: {t.shape}")
         if not np.isfinite(t).all():
             raise ValueError("sample times must be finite")
-        x = np.subtract.outer(self.delays, t)
-        # An overflow gives x * x = inf, so exp() = 0: the pulse is gone.
-        with np.errstate(over="ignore"):
-            x /= self.t_c
-            x *= x
-        x *= -0.5
-        return np.einsum("jt,jc->tc", np.exp(x, out=x), self.amps)
+        out = np.empty((t.shape[0], 2), dtype=complex)
+        points = max(math.prod(QUAD_BLOCK) // max(self.delays.size, 1), 1)
+        for lo in range(0, t.shape[0], points):
+            x = np.subtract.outer(self.delays, t[lo:lo + points])
+            # An overflow gives x * x = inf, so exp() = 0: the pulse is gone.
+            with np.errstate(over="ignore"):
+                x /= self.t_c
+                x *= x
+            x *= -0.5
+            out[lo:lo + points] = np.einsum("jt,jc->tc", np.exp(x, out=x),
+                                            self.amps)
+        return out
 
     def intensity(self, t):
         """Per-component intensity on a grid, shape (len(t), 2)."""

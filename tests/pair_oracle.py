@@ -1,0 +1,103 @@
+"""Test helper: density-matrix routes on a two-qubit pair, the oracles
+for the closed forms in the Bell weights (qkd.pair_criteria and
+distill.recurrence_weights).
+
+Builds the Bell-diagonal state as a 4x4 matrix, reads its CHSH value off
+the correlation tensor, and simulates the bilateral-CNOT recurrence round
+on the 16-dimensional state of two pairs.
+"""
+
+import numpy as np
+
+from qclink import qcore
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+
+def eig_hermitian(m):
+    """Eigendecomposition of a Hermitian matrix.
+
+    Returns (eigenvalues ascending, eigenvectors as columns). Raises
+    ValueError for non-Hermitian input.
+    """
+    m = np.asarray(m, dtype=complex)
+    if not qcore.is_hermitian(m):
+        raise ValueError("input is not Hermitian within 1e-10")
+    vals, vecs = np.linalg.eigh(m)
+    return vals, vecs
+
+
+def chsh_max(rho):
+    """Largest CHSH value reachable with projective measurements on rho.
+
+    Equals 2*sqrt(u1 + u2) with u1, u2 the two largest eigenvalues of
+    T^T T, T_ij = Tr(rho sigma_i x sigma_j); the state violates the
+    inequality iff the value exceeds 2.
+    """
+    rho = qcore.check_density_matrix(rho)
+    if rho.shape != (4, 4):
+        raise ValueError("CHSH value is defined for two qubits")
+    t = np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in PAULIS]
+                  for si in PAULIS])
+    u = np.linalg.eigvalsh(t.T @ t)
+    return float(2.0 * np.sqrt(max(u[-1] + u[-2], 0.0)))
+
+
+def bell_diagonal(weights):
+    """Mixture of the four Bell states with the given probabilities.
+
+    Order (Phi+, Phi-, Psi+, Psi-). Weights must be nonnegative and sum
+    to 1 within qcore.WEIGHT_ATOL.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (4,):
+        raise ValueError("need exactly four Bell weights")
+    if not (w >= -qcore.WEIGHT_ATOL).all():
+        raise ValueError(f"negative or NaN Bell weight in {w}")
+    if abs(w.sum() - 1.0) > qcore.WEIGHT_ATOL:
+        raise ValueError(f"Bell weights sum to {w.sum()!r}, not 1")
+    w = np.clip(w, 0.0, None)
+    rho = np.zeros((4, 4), dtype=complex)
+    for wi, ket in zip(w, qcore.BELL_BASIS):
+        rho += wi * qcore.dm(ket)
+    return rho
+
+
+def cnot_16(control, target):
+    """CNOT between two of four qubits as a 16x16 permutation."""
+    u = np.zeros((16, 16))
+    for idx in range(16):
+        bits = [(idx >> (3 - q)) & 1 for q in range(4)]
+        bits[target] ^= bits[control]
+        out = sum(bit << (3 - q) for q, bit in enumerate(bits))
+        u[out, idx] = 1.0
+    return u
+
+
+def recurrence_explicit(weights):
+    """Explicit two-pair protocol on a Bell-diagonal state.
+
+    Builds rho x rho on qubits (A1, B1, A2, B2), applies the bilateral
+    CNOT (A1->A2, B1->B2), measures the target pair in the computational
+    basis, keeps coinciding outcomes, and returns the Bell-basis weights
+    of the kept pair together with the success probability.
+    """
+    rho = bell_diagonal(weights)
+    big = np.kron(rho, rho)  # qubit order A1, B1, A2, B2
+    u = cnot_16(1, 3) @ cnot_16(0, 2)
+    big = u @ big @ u.conj().T
+    p_success = 0.0
+    kept = np.zeros((4, 4), dtype=complex)
+    for ket in (qcore.KET_0, qcore.KET_1):
+        # projector on A2 = B2 = m (last two tensor slots)
+        proj = np.kron(np.eye(4), np.kron(qcore.dm(ket), qcore.dm(ket)))
+        p_success += np.trace(big @ proj).real
+        r4 = (proj @ big @ proj).reshape(4, 4, 4, 4)
+        kept += np.einsum("ikjk->ij", r4)
+    kept /= p_success
+    new_weights = np.array([
+        float(np.real(b.conj() @ kept @ b)) for b in qcore.BELL_BASIS])
+    return new_weights, float(p_success)

@@ -134,6 +134,15 @@ class TestParse:
         assert cli.main(args + ["--config", config]) == 1
         assert not list(tmp_path.glob("clone-fidelity-0.*"))
 
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    def test_sweep_has_no_basis_option(self, tmp_path, basis):
+        """Both bases gave the same tables, so the option is gone."""
+        args = ["qkd", "sweep", "--steps", "2", "--outdir", str(tmp_path)]
+        assert cli.main(args + ["--basis", basis]) == 1
+        config = write_config(tmp_path, {"basis": basis})
+        assert cli.main(args + ["--config", config]) == 1
+        assert not list(tmp_path.glob("qkd-sweep-0.*"))
+
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
         cfg = cli.parse(["clone", "fidelity", "--n", "1", "--m", "2"])

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from eve_tables import BASES, eigen_table
+from pair_oracle import bell_diagonal, chsh_max, recurrence_explicit
 from qclink import distill, qcore, qkd
 
 
@@ -252,12 +254,10 @@ EDGE_D = (0.0, 5e-324, 1e-300, 1e-12, 0.274157538, 0.274157539, 0.5)
 def oracle_tables(group):
     """Symbol tables on which the engine must equal block_oracle bit for
     bit: 154 D in [0, 0.5] under one Eve measurement, or ("edges") both
-    measurements and both bases at EDGE_D plus overlapping_supports()."""
+    measurements at EDGE_D plus overlapping_supports()."""
     if group != "edges":
         return [dist_at(float(d), group) for d in np.linspace(0.0, 0.5, 154)]
-    return [qkd.symbol_distribution(qkd.AttackParams(d, eve_measurement=eve),
-                                    basis)
-            for eve in qkd.EVE_MEASUREMENTS for basis in ("z", "x")
+    return [dist_at(d, eve) for eve in qkd.EVE_MEASUREMENTS
             for d in EDGE_D] + [overlapping_supports()]
 
 
@@ -466,24 +466,53 @@ class TestRecurrence:
 
     @pytest.mark.parametrize("f", [0.5, 0.55, 0.7, 0.75, 0.9, 1.0])
     def test_explicit_protocol_matches_map(self, f):
-        """16-dim bilateral-CNOT simulation reproduces the fidelity map."""
-        weights = np.array([f, (1 - f) / 3, (1 - f) / 3, (1 - f) / 3])
-        new_w, p = distill.recurrence_explicit(weights)
+        """The closed weight map and the 16-dim bilateral-CNOT simulation
+        both reproduce the fidelity map on the Werner-form input."""
+        r = (1 - f) / 3
+        new_w, p = distill.recurrence_weights([f, r, r, r])
         f_map, p_map = distill.recurrence_step(f)
-        assert new_w[0] == pytest.approx(f_map, abs=1e-12)
-        assert p == pytest.approx(p_map, abs=1e-12)
+        assert abs(new_w[0] - f_map) <= 1e-15
+        assert abs(p - p_map) <= 1e-15
+        oracle_w, oracle_p = recurrence_explicit([f, r, r, r])
+        assert oracle_w[0] == pytest.approx(f_map, abs=1e-12)
+        assert oracle_p == pytest.approx(p_map, abs=1e-12)
 
     def test_explicit_protocol_general_bell_diagonal(self):
         """Success probability and weights stay normalised off the
-        one-parameter family."""
+        one-parameter family, and the closed map equals the simulation."""
         weights = np.array([0.5, 0.3, 0.15, 0.05])
-        new_w, p = distill.recurrence_explicit(weights)
-        assert new_w.sum() == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 < p <= 1.0
+        new_w, p = distill.recurrence_weights(weights)
+        assert new_w.sum() == pytest.approx(1.0, abs=1e-15)
+        assert p == 0.8 ** 2 + 0.2 ** 2
+        oracle_w, oracle_p = recurrence_explicit(weights)
+        assert np.abs(new_w - oracle_w).max() <= 1e-15
+        assert abs(p - oracle_p) <= 1e-15
+
+    @pytest.mark.parametrize("weights", [
+        [0.5, 0.2, 0.2, 0.2], [1.2, -0.2, 0.0, 0.0],
+        [0.5, np.inf, 0.25, 0.25], [0.5, 0.5]])
+    def test_weight_map_rejects_invalid_weights(self, weights):
+        """The closed map rejects what the density-matrix route rejects."""
+        for route in (distill.recurrence_weights, recurrence_explicit):
+            with pytest.raises(ValueError, match="Bell weight"):
+                route(weights)
 
     def test_explicit_protocol_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
-            distill.recurrence_explicit([0.5, np.nan, 0.25, 0.25])
+            distill.recurrence_weights([0.5, np.nan, 0.25, 0.25])
+        with pytest.raises(ValueError, match="NaN"):
+            recurrence_explicit([0.5, np.nan, 0.25, 0.25])
+
+    @pytest.mark.parametrize("d", np.linspace(0.0, 0.5, 11))
+    def test_one_round_is_a_two_bit_block(self, d):
+        """One round on the attack's pair state matches repetition-code
+        distillation on blocks of two bits: it succeeds as often as a
+        block is accepted, and the kept pair's z error lam_2' + lam_3'
+        is the block's eps_post."""
+        new_w, p = distill.recurrence_weights(qkd.bell_weights(d))
+        block = distill.ad_exact(dist_at(d), 2)
+        assert abs(p - block.p_accept) <= 1e-15
+        assert abs(new_w[2] + new_w[3] - block.eps_post) <= 1e-15
 
 
 class TestWernerChain:
@@ -518,8 +547,7 @@ class TestEquivalenceSweep:
         assert low.entangled and low.ad_min_block == 1
         assert not high.entangled and high.ad_min_block is None
         assert low.chsh == pytest.approx(
-            qcore.chsh_max(qcore.bell_diagonal(qkd.bell_weights(0.05))),
-            abs=1e-12)
+            chsh_max(bell_diagonal(qkd.bell_weights(0.05))), abs=1e-12)
         dist = dist_at(0.05)
         assert low.i_ab == pytest.approx(qkd.mutual_information(dist, "ab"),
                                          abs=1e-12)
@@ -528,7 +556,7 @@ class TestEquivalenceSweep:
 
     def test_boundary_row(self):
         row = distill.equivalence_sweep([1 - 1 / np.sqrt(2)], n_max=4)[0]
-        rho = qcore.bell_diagonal(qkd.bell_weights(row.d))
+        rho = bell_diagonal(qkd.bell_weights(row.d))
         assert abs(qcore.is_entangled(rho)[1]) <= 1e-9
 
     def test_entangled_needs_the_ppt_margin(self):
@@ -539,23 +567,27 @@ class TestEquivalenceSweep:
         assert not inside.entangled
         assert past.min_pt_eigenvalue < -qcore.PPT_MARGIN and past.entangled
 
-    @pytest.mark.parametrize("basis", qkd.BASES)
+    @pytest.mark.parametrize("basis", BASES)
     def test_pair_state_columns(self, basis):
         for row in distill.equivalence_sweep([0.0, 0.1, 0.3], n_max=None,
-                                             eve_measurement=qkd.SQUARE_ROOT_4,
-                                             basis=basis):
+                                             eve_measurement=qkd.SQUARE_ROOT_4):
             pair = (row.min_pt_eigenvalue, row.chsh, row.singlet_fidelity)
             assert pair == qkd.pair_criteria(row.d)
             # The eigen route on the density matrix is the oracle.
-            rho = qcore.bell_diagonal(qkd.bell_weights(row.d))
-            oracle = (qcore.is_entangled(rho)[1], qcore.chsh_max(rho),
+            rho = bell_diagonal(qkd.bell_weights(row.d))
+            oracle = (qcore.is_entangled(rho)[1], chsh_max(rho),
                       qcore.singlet_fidelity(rho))
             assert np.max(np.abs(np.subtract(pair, oracle))) <= 2e-15
             assert row.singlet_fidelity == pytest.approx(
                 (1 - row.d) ** 2, abs=1e-12)
-            dist = qkd.symbol_distribution(
-                qkd.AttackParams(row.d, qkd.SQUARE_ROOT_4), basis)
+            params = qkd.AttackParams(row.d, qkd.SQUARE_ROOT_4)
+            dist = qkd.symbol_distribution(params)
             assert row.i_ae == qkd.mutual_information(dist, "ae")
+            # So is Eve's measurement on the three-party state, in the
+            # basis the partners measure.
+            eigen = qkd.SymbolDistribution(eigen_table(params, basis))
+            assert row.i_ae == pytest.approx(
+                qkd.mutual_information(eigen, "ae"), abs=1e-14)
 
     def test_no_block_scan_without_n_max(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -7,11 +7,12 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eve_tables import eigen_table
-from qclink import cli, cloning, qcore, qkd
+from eve_tables import BASES, eigen_table
+from pair_oracle import bell_diagonal, chsh_max, recurrence_explicit
+from qclink import cli, cloning, distill, qcore, qkd
 from qclink import weakmeas as wm
 
 # Same examples every run, no example database, no per-example deadline.
@@ -47,13 +48,29 @@ def test_pair_criteria_match_the_eigen_route(d):
     tensor and overlap routes on the density matrix, and so does the
     entanglement flag wherever the eigenvalue clears the margin."""
     lo, chsh, fidelity = qkd.pair_criteria(d)
-    rho = qcore.bell_diagonal(qkd.bell_weights(d))
+    rho = bell_diagonal(qkd.bell_weights(d))
     entangled, lo_eig = qcore.is_entangled(rho)
     assert abs(lo - lo_eig) <= 2e-15
-    assert abs(chsh - qcore.chsh_max(rho)) <= 2e-15
+    assert abs(chsh - chsh_max(rho)) <= 2e-15
     assert abs(fidelity - qcore.singlet_fidelity(rho)) <= 2e-15
     if abs(lo_eig) > 1e-9:
         assert (lo < -qcore.PPT_MARGIN) == entangled
+
+
+@PROPERTY
+@given(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=4,
+                max_size=4))
+def test_recurrence_weights_match_the_16_dim_protocol(u):
+    """The closed Bell-weight map of one bilateral-CNOT round agrees with
+    the explicit simulation on two pairs, for Dirichlet(1, 1, 1, 1)
+    weights drawn as normalised exponentials -log u."""
+    e = -np.log(u)
+    assume(e.sum() > 0.0)
+    lam = e / e.sum()
+    got, n = distill.recurrence_weights(lam)
+    want, p = recurrence_explicit(lam)
+    assert np.abs(got - want).max() <= 1e-15
+    assert abs(n - p) <= 1e-15
 
 
 ANGLE = st.floats(0.0, np.pi)
@@ -126,11 +143,10 @@ def test_field_moments_scale_with_the_pulse_width(t_c, theta, phi, sections,
 
 
 @PROPERTY
-@given(st.floats(0.0, 0.5), st.sampled_from(qkd.EVE_MEASUREMENTS),
-       st.sampled_from(qkd.BASES))
-def test_symbol_table_normalised_with_uniform_sender(d, eve, basis):
+@given(st.floats(0.0, 0.5), st.sampled_from(qkd.EVE_MEASUREMENTS))
+def test_symbol_table_normalised_with_uniform_sender(d, eve):
     table = qkd.symbol_distribution(
-        qkd.AttackParams(d, eve_measurement=eve), basis).table
+        qkd.AttackParams(d, eve_measurement=eve)).table
     assert (table >= 0.0).all()
     assert table.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(table.sum(axis=(1, 2)), 0.5, rtol=0,
@@ -139,14 +155,15 @@ def test_symbol_table_normalised_with_uniform_sender(d, eve, basis):
 
 @PROPERTY
 @given(st.floats(1e-3, 0.5), st.sampled_from(qkd.EVE_MEASUREMENTS),
-       st.sampled_from(qkd.BASES))
+       st.sampled_from(BASES))
 def test_symbol_table_matches_the_eigen_route(d, eve, basis):
-    """The closed-form table agrees with Eve's diagonalised measurements
-    on her conditional probes. Below D = 1e-3 the eigen route itself
-    loses digits to eigenvector conditioning and to the 1e-14 kernel
-    cutoff of square_root_povm."""
+    """The one closed-form table agrees with Eve's diagonalised
+    measurements on her conditional probes, with the partners measuring
+    either basis. Below D = 1e-3 the eigen route itself loses digits to
+    eigenvector conditioning and to the 1e-14 kernel cutoff of
+    square_root_povm."""
     params = qkd.AttackParams(d, eve_measurement=eve)
-    got = qkd.symbol_distribution(params, basis).table
+    got = qkd.symbol_distribution(params).table
     assert np.abs(got - eigen_table(params, basis)).max() <= 4e-15
 
 

