@@ -204,7 +204,8 @@ def cmd_weak_toa(params, seed):
     post = _post_element(params)
     closed = wm.mean_toa_closed(pulse, pmd, post)
     numeric = wm.propagate(pulse, [pmd, post]).mean_toa()
-    weak = wm.weak_value(pulse, pmd, post)
+    weak = wm.weak_value(wm.jones_elliptical(params["theta-pre"],
+                                             params["phi-pre"]), pmd, post)
     rows = [[params["dtau"], *(params[k] for k in _PULSE_FLAGS), closed,
              numeric, weak]]
     return (["dtau", *_PULSE_COLUMNS, "toa_closed", "toa_numeric",

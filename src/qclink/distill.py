@@ -18,14 +18,14 @@ Eve's guess plus the pair parity, so its supports are {0, 3} and
 {1, 2} by construction, which cuts the rows for all n <= 64 from about
 815k to 4288; under the binary measurement the support is full. One
 vectorised pass covers every block size 1..n_max and returns each
-statistic as an array over n, and ad_min_block reads the first n with
-positive advantage off it. The cache keeps each branch's rows with
-their counts on its support already as floats, so a pass gathers
-nothing per call. The Monte Carlo harness refuses more than
-MC_MAX_TRIAL_SYMBOLS trial-symbols before it allocates anything and
-draws the symbols MC_CHUNK_SYMBOLS at a time. It accepts or rejects
-each block from its raw uniforms and decodes only the accepted blocks,
-so it holds one chunk plus 8 bytes per trial.
+statistic as an array over n: ad_min_block reads the first n with
+positive advantage off it, ad_exact the last row of a pass over 1..n.
+The cache keeps each branch's rows with their counts on its support
+already as floats, so a pass gathers nothing per call. The Monte Carlo
+harness refuses more than MC_MAX_TRIAL_SYMBOLS trial-symbols before it
+allocates anything and draws the symbols MC_CHUNK_SYMBOLS at a time. It
+accepts or rejects each block from its raw uniforms and decodes only
+the accepted blocks, so it holds one chunk plus 8 bytes per trial.
 
 Quantum route: the standard two-pair recurrence step at the fidelity
 level, F' = (F^2 + ((1-F)/3)^2) / (F^2 + 2F(1-F)/3 + 5((1-F)/3)^2), and
@@ -116,8 +116,8 @@ def _simplex(n, s):
 
 
 @functools.cache
-def _count_rows(lo, hi, ne, branches):
-    """Eve's symbol-count vectors for the block sizes lo..hi that lie
+def _count_rows(n_max, ne, branches):
+    """Eve's symbol-count vectors for the block sizes 1..n_max that lie
     inside the support of some branch (_branch_supports), each once,
     ordered by block size and then lexicographically. Returns the
     block-size index of each row and, for each branch, the indices of the
@@ -125,7 +125,7 @@ def _count_rows(lo, hi, ne, branches):
     float64, their log multinomial coefficients and their block-size
     index. Every array is read-only, as the cache shares it."""
     blocks = []
-    for n in range(lo, hi + 1):
+    for n in range(1, n_max + 1):
         for support in set(branches) - {()}:
             part = _simplex(n, len(support))
             rows = np.zeros((len(part), ne + 1), dtype=np.int64)
@@ -138,7 +138,7 @@ def _count_rows(lo, hi, ne, branches):
     rows = rows[np.r_[True, (np.diff(rows, axis=0) != 0).any(axis=1)]]
     sizes, counts = rows[:, 0], rows[:, 1:]
     log_multinom = _LOG_FACTORIAL[sizes] - _LOG_FACTORIAL[counts].sum(axis=1)
-    index = sizes - lo
+    index = sizes - 1
     per_branch = []
     for ok in branches:
         at = np.flatnonzero((np.delete(counts, ok, axis=1) == 0).all(axis=1))
@@ -158,20 +158,20 @@ def _h2_vec(p):
     return out
 
 
-def _block_profiles(dist, lo, hi):
-    """Exact block statistics of the block sizes lo..hi in one pass over
+def _block_profiles(dist, n_max):
+    """Exact block statistics of the block sizes 1..n_max in one pass over
     the count vectors inside the branch supports. Returns the float64
-    arrays (p_accept, eps_post, i_ab, i_ae) over n = lo..hi."""
+    arrays (p_accept, eps_post, i_ab, i_ae) over n = 1..n_max."""
     eps = error_rate(dist)
     q = _conditional_eve(dist)
     branches = _branch_supports(q)
-    # Python-float powers, so every n gets the same bits in any range.
-    good = np.array([(1.0 - eps) ** n for n in range(lo, hi + 1)])
-    bad = np.array([eps ** n for n in range(lo, hi + 1)])
+    # Python-float powers, so every n gets the same bits whatever n_max.
+    good = np.array([(1.0 - eps) ** n for n in range(1, n_max + 1)])
+    bad = np.array([eps ** n for n in range(1, n_max + 1)])
     p_acc = good + bad
     eps_post = bad / p_acc
     pi_k = (good / p_acc, eps_post)
-    index, rows = _count_rows(lo, hi, q.shape[2], branches)
+    index, rows = _count_rows(n_max, q.shape[2], branches)
     # w[c] = sum_k pi_k * multinom * prod_e q[c,k,e]^n_e per vector
     w = np.zeros((2, index.shape[0]))
     for (c, k), ok, (at, counts, log_multinom, size) in zip(
@@ -182,8 +182,8 @@ def _block_profiles(dist, lo, hi):
     mask = tot > 0.0
     h = 0.5 * tot[mask] * _h2_vec(w[0, mask] / tot[mask])
     # Each block size is summed on its own by ndarray.sum, whose
-    # pairwise order does not depend on the range around it.
-    bounds = np.searchsorted(index[mask], np.arange(hi - lo + 2)).tolist()
+    # pairwise order does not depend on the sizes around it.
+    bounds = np.searchsorted(index[mask], np.arange(n_max + 1)).tolist()
     h_cond = np.array([h[a:b].sum() for a, b in zip(bounds, bounds[1:])])
     # I(A;E) >= 0; at D = 0 the sum of 1 - H(A|E) reads -8.9e-16.
     return (p_acc, eps_post, 1.0 - _h2_vec(eps_post),
@@ -198,7 +198,7 @@ def ad_exact(dist, n):
     (1-eps)^n + eps^n and eps^n / p_accept with eps = P(a != b).
     """
     n = _check("block size", n, 1, MAX_BLOCK, integer=True)
-    return AdOutcome(n, *(float(a[0]) for a in _block_profiles(dist, n, n)))
+    return AdOutcome(n, *(float(a[-1]) for a in _block_profiles(dist, n)))
 
 
 def ad_monte_carlo(dist, n, trials, seed=0):
@@ -289,7 +289,7 @@ def ad_monte_carlo(dist, n, trials, seed=0):
 def ad_min_block(dist, n_max=30):
     """Smallest block size with positive advantage, or None."""
     n_max = _check("n_max", n_max, 1, MAX_BLOCK, integer=True)
-    _, _, i_ab, i_ae = _block_profiles(dist, 1, n_max)
+    _, _, i_ab, i_ae = _block_profiles(dist, n_max)
     hits = np.flatnonzero(i_ab - i_ae > ADVANTAGE_EPS)
     return int(hits[0]) + 1 if hits.size else None
 

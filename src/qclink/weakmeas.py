@@ -42,6 +42,7 @@ A pulse counts as blocked when at most BLOCKED_FRACTION of its input
 energy passes.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -60,7 +61,7 @@ MAX_GRID_POINTS = 1_000_000
 # Trapezoid quadrature behind PropagatedField.energy and mean_toa.
 QUAD_STEP = 1.0 / 2.5  # node spacing, in units of t_c
 QUAD_PAD = 7.5  # node reach beyond a cluster's outer delays, in units of t_c
-QUAD_BLOCK = (128, 2048)  # nodes or points x terms per exp block: 2 MB
+QUAD_BLOCK = 1 << 18  # floats per exp block, in quadrature and sample: 2 MB
 # Transmitted share of the input energy (unit Jones vector) at or below
 # which a pulse counts as blocked: arrival times and weak values raise.
 BLOCKED_FRACTION = 1e-12
@@ -151,7 +152,6 @@ class PropagatedField:
         self.delays = np.array(delays, dtype=float, ndmin=1)
         self.amps = np.array(amps, dtype=complex).reshape(-1, 2)
         self.delays.flags.writeable = self.amps.flags.writeable = False
-        self._sums = None
         if self.delays.shape[0] != self.amps.shape[0]:
             raise ValueError("delays and amplitudes differ in length")
         # A finite spread keeps every delay difference in _trapezoid finite;
@@ -174,7 +174,7 @@ class PropagatedField:
         if not np.isfinite(t).all():
             raise ValueError("sample times must be finite")
         out = np.empty((t.shape[0], 2), dtype=complex)
-        points = max(math.prod(QUAD_BLOCK) // max(self.delays.size, 1), 1)
+        points = max(QUAD_BLOCK // max(self.delays.size, 1), 1)
         for lo in range(0, t.shape[0], points):
             x = np.subtract.outer(self.delays, t[lo:lo + points])
             # An overflow gives x * x = inf, so exp() = 0: the pulse is gone.
@@ -191,44 +191,39 @@ class PropagatedField:
         e = self.sample(t)
         return (e.real ** 2 + e.imag ** 2)
 
+    @functools.cached_property
     def _moments(self):
         """The field's trapezoid sums, computed on first use."""
-        if self._sums is None:
-            self._sums = self._trapezoid()
-        return self._sums
+        return self._trapezoid()
 
     def _trapezoid(self):
         """Trapezoid sums of |E|^2 and u |E|^2 per cluster of delays.
 
         Node offsets u are in units of t_c from the cluster's first delay,
         so no Gaussian is evaluated in absolute time. Returns the clusters'
-        first delays, their sums of |E|^2 and their sums of u |E|^2. A
-        node block sums only the terms within 2 QUAD_PAD of it: farther
-        terms enter |E|^2 below exp(-112) of their amplitude.
+        first delays, their sums of |E|^2 and their sums of u |E|^2; a
+        field without terms has no cluster. Each block of nodes takes
+        every term of its cluster in one exp product, as many nodes as
+        the QUAD_BLOCK budget leaves.
         """
         order = np.argsort(self.delays, kind="stable")
         d = self.delays[order]
         a = self.amps[order].view(float)  # (terms, 4): re, im of x and y
-        nodes, chunk = QUAD_BLOCK
         cuts = np.flatnonzero(np.diff(d) > 2.0 * QUAD_PAD * self.t_c) + 1
-        bounds = [0, *cuts.tolist(), d.size]
+        bounds = [0, *cuts.tolist(), d.size] if d.size else []
         starts, energy, first = [], [], []
         for lo, hi in zip(bounds, bounds[1:]):
             u = (d[lo:hi] - d[lo]) / self.t_c
             count = int(np.ceil((u[-1] + 2.0 * QUAD_PAD) / QUAD_STEP)) + 1
+            nodes = max(QUAD_BLOCK // u.size, 1)
             w_sum = u_sum = 0.0
             for start in range(0, count, nodes):
                 x = QUAD_STEP * np.arange(start, min(start + nodes, count)) \
                     - QUAD_PAD
-                j0, j1 = np.searchsorted(u, [x[0] - 2.0 * QUAD_PAD,
-                                             x[-1] + 2.0 * QUAD_PAD])
-                e = np.zeros((x.size, 4))
-                for j in range(j0, j1, chunk):
-                    k = min(j + chunk, j1)
-                    g = np.subtract.outer(x, u[j:k])
-                    g *= g
-                    g *= -0.5
-                    e += np.exp(g, out=g) @ a[lo + j:lo + k]
+                g = np.subtract.outer(x, u)
+                g *= g
+                g *= -0.5
+                e = np.exp(g, out=g) @ a[lo:hi]
                 w = np.einsum("ij,ij->i", e, e)
                 w_sum += w.sum()
                 u_sum += x @ w
@@ -239,20 +234,17 @@ class PropagatedField:
 
     def energy(self):
         """Total pulse energy, integrated on the trapezoid grid."""
-        if self.amps.shape[0] == 0:
-            return 0.0
-        return float(QUAD_STEP * sum(self._moments()[1]) * self.t_c)
+        return float(QUAD_STEP * sum(self._moments[1]) * self.t_c)
 
     def mean_toa(self):
         """Intensity-weighted mean arrival time, on the trapezoid grid:
         the clusters' first delays weighted by their energy shares, plus
         t_c times the mean node offset."""
-        if self.amps.shape[0] != 0:
-            starts, energy, first = self._moments()
-            total = sum(energy)
-            if QUAD_STEP * total > BLOCKED_FRACTION * np.sqrt(np.pi):
-                return float(sum(e / total * s for e, s in zip(energy, starts))
-                             + self.t_c * (sum(first) / total))
+        starts, energy, first = self._moments
+        total = sum(energy)
+        if QUAD_STEP * total > BLOCKED_FRACTION * np.sqrt(np.pi):
+            return float(sum(e / total * s for e, s in zip(energy, starts))
+                         + self.t_c * (sum(first) / total))
         raise ValueError("no transmitted energy: the field is fully blocked")
 
 
@@ -392,13 +384,12 @@ def mean_toa_closed(pulse, pmd, post=None):
 def weak_value(pre, pmd, post=None):
     """Pointer-shift prediction in the weak-coupling limit.
 
-    pre may be a pulse or a Jones vector. For a pure post-selection this
-    reduces to (dtau/2) Re[<psi_f|sigma|psi_i> / <psi_f|psi_i>]; nearly
-    orthogonal pure post-selection (overlap at most BLOCKED_FRACTION) raises
-    instead of returning a diverging number.
+    pre is a Jones vector. For a pure post-selection this reduces to
+    (dtau/2) Re[<psi_f|sigma|psi_i> / <psi_f|psi_i>]; nearly orthogonal
+    pure post-selection (overlap at most BLOCKED_FRACTION) raises instead
+    of returning a diverging number.
     """
-    psi = pre.jones if isinstance(pre, PolarizedPulse) else _unit_jones(pre)
-    *_, num, den = _section_terms(psi, pmd, post)
+    *_, num, den = _section_terms(_unit_jones(pre), pmd, post)
     _check_den(den, _ORTHOGONAL)
     return float((pmd.delta_tau / 2.0) * num / den)
 
@@ -471,9 +462,12 @@ def toa_transition_sweep(pre, post, delta_tau_grid, t_c):
     _check_den(exact_den, _BLOCKED)
     weak = (grid / 2.0) * num / den
     dtau = grid.tolist()
+    # Past the float range the ratio reads inf, silently as in _closed_toa.
+    with np.errstate(over="ignore"):
+        ratio = grid / t_c
     # The last column is discrimination_error without its range checks,
     # which the pulse and the grid have passed.
-    return list(map(TransitionRow, (grid / t_c).tolist(), dtau,
+    return list(map(TransitionRow, ratio.tolist(), dtau,
                     exact.tolist(), weak.tolist(),
                     np.abs(exact - weak).tolist(),
                     [0.5 * math.erfc(d / (2.0 * t_c)) for d in dtau]))

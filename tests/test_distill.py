@@ -177,7 +177,7 @@ class TestBlockEngine:
     def test_matches_dense_oracle_for_every_block_size(self, d, eve):
         dist = dist_at(d, eve)
         _, _, i_ab, i_ae = distill._block_profiles(
-            dist, 1, distill.MAX_BLOCK)
+            dist, distill.MAX_BLOCK)
         for n in range(1, distill.MAX_BLOCK + 1):
             oracle = dense_i_ae(dist, n)
             out = distill.ad_exact(dist, n)
@@ -219,7 +219,7 @@ class TestBlockEngine:
         q = distill._conditional_eve(dist)
         branches = distill._branch_supports(q)
         assert set(branches) == {(0, 3), (1, 2)}
-        index = distill._count_rows(1, 64, 4, branches)[0]
+        index = distill._count_rows(64, 4, branches)[0]
         # two 2-symbol supports, n + 1 vectors each, against 814 385
         # vectors over all four symbols
         assert len(index) == sum(2 * (n + 1) for n in range(1, 65))
@@ -229,12 +229,12 @@ class TestBlockEngine:
         q = distill._conditional_eve(dist)
         branches = distill._branch_supports(q)
         assert branches == ((0, 1, 2), (1, 3), (0, 2, 3), (2, 3))
-        index, rows = distill._count_rows(1, 64, 4, branches)
+        index, rows = distill._count_rows(64, 4, branches)
         counts = np.zeros((len(index), 4))
         for ok, (at, on_ok, _, _) in zip(branches, rows):
             counts[np.ix_(at, ok)] = on_ok
         assert len(np.unique(counts, axis=0)) == len(counts)
-        i_ae = distill._block_profiles(dist, 1, distill.MAX_BLOCK)[3]
+        i_ae = distill._block_profiles(dist, distill.MAX_BLOCK)[3]
         for n in range(1, distill.MAX_BLOCK + 1):
             oracle = dense_i_ae(dist, n)
             assert i_ae[n - 1] == pytest.approx(oracle, abs=1e-14)

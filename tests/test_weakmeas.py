@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+import quad_oracle
 from qclink import weakmeas as wm
 from term_oracle import propagate_terms
 
@@ -426,6 +427,63 @@ class TestCoincidentDelays:
         assert abs(toa) <= spread
 
 
+def sum_bits(sums):
+    """The trapezoid sums of a field, each float as its exact hex."""
+    return [[float(v).hex() for v in part] for part in sums]
+
+
+class TestQuadOracle:
+    """The one-loop quadrature against the windowed one it replaced
+    (tests/quad_oracle.py)."""
+
+    def test_cli_fields_are_bit_identical(self):
+        """One delay and one loss element, as in `weak toa` and `weak
+        profile`: widths from 1e-300 to 1e300, delays up to 1e3 t_c of
+        either sign, no, finite or infinite loss."""
+        rng = np.random.default_rng(18)
+        for case in range(300):
+            t_c = 10.0 ** rng.uniform(-300.0, 300.0)
+            dtau = (0.0 if case % 10 == 0 else rng.choice([-1.0, 1.0])
+                    * t_c * 10.0 ** rng.uniform(-3.0, 3.0))
+            gamma = [0.0, rng.uniform(0.0, 60.0), np.inf][case % 3]
+            field = wm.propagate(wm.PolarizedPulse(t_c, elliptical(rng)),
+                                 [wm.PmdElement(dtau),
+                                  wm.PdlElement(gamma, rng.uniform(0, np.pi))])
+            assert sum_bits(field._trapezoid()) == \
+                sum_bits(quad_oracle.trapezoid(field)), case
+
+    @pytest.mark.parametrize("equal", [True, False])
+    @pytest.mark.parametrize("sections", [7, 10])
+    def test_bench_chains_are_bit_identical(self, sections, equal):
+        """Random-axis chains of one delay in [0.2, 0.6] t_c or of random
+        delays in [0.1, 0.6] t_c, up to 1024 terms."""
+        rng = np.random.default_rng(100 + 2 * sections + equal)
+        for _ in range(15):
+            pulse = wm.PolarizedPulse(TC, elliptical(rng))
+            axes = rng.uniform(0, np.pi, sections)
+            delays = (np.full(sections, rng.uniform(0.2, 0.6)) if equal
+                      else rng.uniform(0.1, 0.6, sections))
+            field = wm.propagate(pulse, [wm.PmdElement(float(t), float(a))
+                                         for t, a in zip(delays, axes)])
+            assert sum_bits(field._trapezoid()) == \
+                sum_bits(quad_oracle.trapezoid(field))
+
+    @pytest.mark.parametrize("sections, dtau", [(16, None), (64, 10.0)])
+    def test_many_node_blocks_match(self, sections, dtau):
+        """65 536 terms (16 random sections), which the oracle sums in 32
+        term chunks, and 65 terms over 640 t_c (64 sections of 10 t_c),
+        which it sums in 13 windowed node blocks."""
+        rng = np.random.default_rng(sections)
+        chain = [wm.PmdElement(dtau or rng.uniform(0.1, 0.6),
+                               rng.uniform(0, np.pi))
+                 for _ in range(sections)]
+        field = wm.propagate(wm.PolarizedPulse(TC, elliptical(rng)), chain)
+        spread = np.ptp(field.delays)
+        energy, toa = quad_oracle.moments(field)
+        assert field.energy() == pytest.approx(energy, rel=1e-14)
+        assert abs(field.mean_toa() - toa) <= 1e-14 * spread
+
+
 class TestMeanToa:
     def test_eigenmode_shift(self):
         for dt in (0.01, 0.5, 5.0):
@@ -481,10 +539,16 @@ class TestMeanToa:
         with pytest.raises(ValueError):
             wm.mean_toa_closed(pulse, wm.PmdElement(0.5), wm.analyzer(0.0))
         blocked = wm.propagate(pulse, [wm.analyzer(0.0)])
+        assert blocked.delays.size == 0
+        assert blocked.energy() == 0.0
         with pytest.raises(ValueError):
             blocked.mean_toa()
         with pytest.raises(ValueError):
             wm.mean_toa_numeric(blocked)
+        empty = wm.PropagatedField(TC, [], np.empty((0, 2)))
+        assert empty.energy() == 0.0
+        with pytest.raises(ValueError, match="no transmitted energy"):
+            empty.mean_toa()
 
     def test_blocked_by_round_off_raises(self):
         """An analyzer orthogonal to the delay axis leaves amplitudes of
@@ -646,6 +710,14 @@ class TestTransitionSweep:
                                  wm.PmdElement(dtau), post)
         assert toa / dtau == pytest.approx(resolved, rel=1e-15)
         assert resolved != 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = wm.toa_transition_sweep(pre, post, [dtau], t_c)
+        # The sweep's pulse carries the normalised pre-selection.
+        exact = wm.mean_toa_closed(wm.PolarizedPulse(t_c, wm._unit_jones(pre)),
+                                   wm.PmdElement(dtau), post)
+        assert row.toa_exact.hex() == exact.hex()
+        assert row.ratio == dtau / t_c
 
     def test_time_grid_overflow_is_silent(self):
         field = wm.propagate(wm.PolarizedPulse(TC, [1, 1]),
