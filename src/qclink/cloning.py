@@ -51,11 +51,16 @@ def fidelity_opt(n, m):
 
 
 def _law_terms(mu_in, mu_out, q):
-    """Numerator and denominator of the amplifier fidelity; ValueError
-    where one overflows, as the ratio would read nan or 0.0 for 1/2."""
+    """Numerator and denominator of the amplifier fidelity, unchecked."""
+    core = q * mu_out * mu_in
+    return core + mu_out + mu_in, core + 2.0 * mu_out
+
+
+def _checked_law_terms(mu_in, mu_out, q):
+    """_law_terms, with ValueError where one overflows, as the ratio would
+    read nan or 0.0 for 1/2."""
     with np.errstate(over="ignore"):
-        core = q * mu_out * mu_in
-        terms = core + mu_out + mu_in, core + 2.0 * mu_out
+        terms = _law_terms(mu_in, mu_out, q)
     if not np.isfinite(terms).all():
         raise ValueError("the amplifier fidelity overflows")
     return terms
@@ -66,7 +71,7 @@ def fidelity_classical(mu_in, mu_out, q):
     _check("mu_in", mu_in, math.ulp(0.0))
     _check("mu_out", mu_out, mu_in)  # mu_out >= mu_in > 0
     _check("quality", q, 0.0, 1.0)
-    num, den = _law_terms(mu_in, mu_out, q)
+    num, den = _checked_law_terms(mu_in, mu_out, q)
     return num / den
 
 
@@ -163,12 +168,11 @@ def fit_q(data):
         warnings.warn("all records share one mu_in; the fit is degenerate",
                       stacklevel=2)
     mu_in, mu_out, fid = arr.T
-    _law_terms(mu_in, mu_out, 1.0)  # both grow with q: finite on [0, 1]
+    _checked_law_terms(mu_in, mu_out, 1.0)  # both rise with q: finite on [0, 1]
 
     def rss(q):
-        core = q * mu_out * mu_in
-        model = (core + mu_out + mu_in) / (core + 2.0 * mu_out)
-        return float(((model - fid) ** 2).sum())
+        num, den = _law_terms(mu_in, mu_out, q)
+        return float(((num / den - fid) ** 2).sum())
 
     grid = np.linspace(0.0, 1.0, 101)
     values = [rss(q) for q in grid]

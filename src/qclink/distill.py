@@ -20,7 +20,9 @@ Eve's guess plus the pair parity, so its supports are {0, 3} and
 vectorised pass covers every block size 1..n_max and returns each
 statistic as an array over n: ad_min_block reads the first n with
 positive advantage off it, ad_exact the last row of a pass over 1..n.
-The cache keeps each branch's rows with their counts on its support
+One cached table per support set holds the rows of every block size
+1..MAX_BLOCK, ordered by size, so a pass over 1..n_max reads a prefix of
+it; the table keeps each branch's rows with their counts on its support
 already as floats, so a pass gathers nothing per call. The Monte Carlo
 harness refuses more than MC_MAX_TRIAL_SYMBOLS trial-symbols before it
 allocates anything and draws the symbols MC_CHUNK_SYMBOLS at a time. It
@@ -116,16 +118,19 @@ def _simplex(n, s):
 
 
 @functools.cache
-def _count_rows(n_max, ne, branches):
-    """Eve's symbol-count vectors for the block sizes 1..n_max that lie
-    inside the support of some branch (_branch_supports), each once,
-    ordered by block size and then lexicographically. Returns the
-    block-size index of each row and, for each branch, the indices of the
-    rows inside its support with their counts on that support as
-    float64, their log multinomial coefficients and their block-size
-    index. Every array is read-only, as the cache shares it."""
+def _count_rows(ne, branches):
+    """Eve's symbol-count vectors for the block sizes 1..MAX_BLOCK that
+    lie inside the support of some branch (_branch_supports), each once,
+    ordered by block size and then lexicographically, so the rows of the
+    sizes 1..n are a prefix of the table. Returns the block-size index of
+    each row, the number of rows of the sizes 1..n for n = 0..MAX_BLOCK,
+    and, for each branch, the indices of the rows inside its support with
+    their counts on that support as float64, their log multinomial
+    coefficients, their block-size index and its own prefix row counts.
+    One table serves every n_max. Every array is read-only, as the cache
+    shares it."""
     blocks = []
-    for n in range(1, n_max + 1):
+    for n in range(1, MAX_BLOCK + 1):
         for support in set(branches) - {()}:
             part = _simplex(n, len(support))
             rows = np.zeros((len(part), ne + 1), dtype=np.int64)
@@ -139,14 +144,17 @@ def _count_rows(n_max, ne, branches):
     sizes, counts = rows[:, 0], rows[:, 1:]
     log_multinom = _LOG_FACTORIAL[sizes] - _LOG_FACTORIAL[counts].sum(axis=1)
     index = sizes - 1
+    sizes_upto = np.arange(MAX_BLOCK + 1)
     per_branch = []
     for ok in branches:
         at = np.flatnonzero((np.delete(counts, ok, axis=1) == 0).all(axis=1))
         per_branch.append((at, counts[np.ix_(at, ok)].astype(float),
-                           log_multinom[at], index[at]))
-    for arr in sum(per_branch, (index,)):
+                           log_multinom[at], index[at],
+                           np.searchsorted(sizes[at], sizes_upto, "right")))
+    ends = np.searchsorted(sizes, sizes_upto, "right")
+    for arr in sum(per_branch, (index, ends)):
         arr.flags.writeable = False
-    return index, tuple(per_branch)
+    return index, ends, tuple(per_branch)
 
 
 def _h2_vec(p):
@@ -160,7 +168,8 @@ def _h2_vec(p):
 
 def _block_profiles(dist, n_max):
     """Exact block statistics of the block sizes 1..n_max in one pass over
-    the count vectors inside the branch supports. Returns the float64
+    the count vectors inside the branch supports, read as the prefix of
+    _count_rows' table that holds the sizes 1..n_max. Returns the float64
     arrays (p_accept, eps_post, i_ab, i_ae) over n = 1..n_max."""
     eps = error_rate(dist)
     q = _conditional_eve(dist)
@@ -171,13 +180,16 @@ def _block_profiles(dist, n_max):
     p_acc = good + bad
     eps_post = bad / p_acc
     pi_k = (good / p_acc, eps_post)
-    index, rows = _count_rows(n_max, q.shape[2], branches)
+    index, ends, rows = _count_rows(q.shape[2], branches)
+    # The sizes 1..n_max are the first ends[n_max] rows of the table.
+    index = index[:ends[n_max]]
     # w[c] = sum_k pi_k * multinom * prod_e q[c,k,e]^n_e per vector
     w = np.zeros((2, index.shape[0]))
-    for (c, k), ok, (at, counts, log_multinom, size) in zip(
+    for (c, k), ok, (at, counts, log_multinom, size, upto) in zip(
             np.ndindex(2, 2), branches, rows):
-        logs = counts @ np.log(q[c, k, list(ok)]) + log_multinom
-        w[c, at] += pi_k[k][size] * np.exp(logs)
+        m = upto[n_max]
+        logs = counts[:m] @ np.log(q[c, k, list(ok)]) + log_multinom[:m]
+        w[c, at[:m]] += pi_k[k][size[:m]] * np.exp(logs)
     tot = w.sum(axis=0)
     mask = tot > 0.0
     h = 0.5 * tot[mask] * _h2_vec(w[0, mask] / tot[mask])

@@ -439,7 +439,8 @@ def toa_transition_sweep(pre, post, delta_tau_grid, t_c):
     Only the delay changes along the grid: the 2x2 terms are computed
     once, and the closed form and the weak value are evaluated on the
     whole grid as arrays in the operation order of mean_toa_closed and
-    weak_value, so each row equals those functions bit for bit. The grid
+    weak_value, so each row equals mean_toa_closed(PolarizedPulse(t_c,
+    pre), ...) and weak_value(pre, ...) bit for bit. The grid
     must be positive and finite. A blocked first point raises before an
     orthogonal post-selection does, any other blocked point after it.
     """
@@ -451,11 +452,12 @@ def toa_transition_sweep(pre, post, delta_tau_grid, t_c):
     psi = _unit_jones(pre)
     if grid.size == 0:
         return []
-    pulse = PolarizedPulse(t_c, psi)
+    _check("pulse width", t_c, math.ulp(0.0))
     if not np.isfinite(grid).all():
         raise ValueError("delay grid must be finite")
-    # pulse.jones is _unit_jones(psi), the vector weak_value(psi, ...) uses.
-    *terms, num, den = _section_terms(pulse.jones, PmdElement(0.0), post)
+    # psi is the vector PolarizedPulse(t_c, pre) and weak_value(pre, ...)
+    # use: pre normalised once.
+    *terms, num, den = _section_terms(psi, PmdElement(0.0), post)
     exact, exact_den = _closed_toa(terms, grid, float(t_c))
     _check_den(exact_den[0], _BLOCKED)
     _check_den(den, _ORTHOGONAL)

@@ -219,7 +219,7 @@ class TestBlockEngine:
         q = distill._conditional_eve(dist)
         branches = distill._branch_supports(q)
         assert set(branches) == {(0, 3), (1, 2)}
-        index = distill._count_rows(64, 4, branches)[0]
+        index = distill._count_rows(4, branches)[0]
         # two 2-symbol supports, n + 1 vectors each, against 814 385
         # vectors over all four symbols
         assert len(index) == sum(2 * (n + 1) for n in range(1, 65))
@@ -229,9 +229,9 @@ class TestBlockEngine:
         q = distill._conditional_eve(dist)
         branches = distill._branch_supports(q)
         assert branches == ((0, 1, 2), (1, 3), (0, 2, 3), (2, 3))
-        index, rows = distill._count_rows(64, 4, branches)
+        index, _, rows = distill._count_rows(4, branches)
         counts = np.zeros((len(index), 4))
-        for ok, (at, on_ok, _, _) in zip(branches, rows):
+        for ok, (at, on_ok, *_) in zip(branches, rows):
             counts[np.ix_(at, ok)] = on_ok
         assert len(np.unique(counts, axis=0)) == len(counts)
         i_ae = distill._block_profiles(dist, distill.MAX_BLOCK)[3]
@@ -243,6 +243,25 @@ class TestBlockEngine:
         for n_max in (1, 8, 30, 64):
             assert distill.ad_min_block(dist, n_max) == \
                 dense_min_block(dist, n_max)
+
+    def test_one_row_table_serves_every_block_size(self):
+        """ad_exact at every n and ad_min_block at every n_max slice one
+        cached table per support set, whose prefix counts are those of
+        its rows."""
+        dist = overlapping_supports()
+        distill._count_rows.cache_clear()
+        for n in range(1, distill.MAX_BLOCK + 1):
+            distill.ad_exact(dist, n)
+        for n_max in (1, 8, 30, 64):
+            distill.ad_min_block(dist, n_max)
+        assert distill._count_rows.cache_info().currsize == 1
+        branches = distill._branch_supports(distill._conditional_eve(dist))
+        index, ends, rows = distill._count_rows(4, branches)
+        upto = np.arange(distill.MAX_BLOCK + 1)[:, None]
+        np.testing.assert_array_equal(ends, (index < upto).sum(axis=1))
+        for *_, size, size_ends in rows:
+            np.testing.assert_array_equal(size_ends,
+                                          (size < upto).sum(axis=1))
 
 
 # D values at the edges of the engine's range: exact zero, the smallest
