@@ -106,8 +106,7 @@ def cmd_qkd_sweep(params, seed):
 
 
 def cmd_qkd_thresholds(params, seed):
-    summary = {kind: qkd.threshold(kind, tol=params["tol"],
-                                   eve_measurement=params["eve"])
+    summary = {kind: qkd.threshold(kind, eve_measurement=params["eve"])
                for kind in qkd.THRESHOLD_KINDS}
     return ["kind", "critical_disturbance"], summary.items(), summary
 
@@ -271,7 +270,7 @@ COMMANDS = {
         "eve": (EVE_CHOICES, qkd.HELSTROM_BINARY),
         "n-max": (int, None, _BLOCKS)}),
     ("qkd", "thresholds"): (cmd_qkd_thresholds, {
-        "tol": (float, 1e-6), "eve": (EVE_CHOICES, qkd.HELSTROM_BINARY)}),
+        "eve": (EVE_CHOICES, qkd.HELSTROM_BINARY)}),
     ("distill", "classical"): (cmd_distill_classical, {
         "d": (float, _REQUIRED, _D_RANGE), "n": (int, 8, _BLOCKS),
         "eve": (EVE_CHOICES, qkd.HELSTROM_BINARY),

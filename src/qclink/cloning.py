@@ -96,6 +96,7 @@ def birth_process_exact(n, m):
 def birth_process_mc(n, m, trials, seed=0):
     """Monte Carlo mean and standard error of the birth-chain fidelity."""
     trials = _check("trials", trials, 10 ** 4, BIRTH_MAX_TRIALS, integer=True)
+    seed = _check("seed", seed, 0, math.inf, integer=True)
     n, m = _copy_counts(n, m)
     if trials * (m - n) > BIRTH_MAX_TRIAL_STEPS:
         raise ValueError(
@@ -204,6 +205,7 @@ def generate_fidelity_dataset(q, mu_in, gain=10.0, noise_sigma=0.0, seed=0):
     fidelities, clipped into (0, 1].
     """
     _check("noise sigma", noise_sigma, 0.0)
+    seed = _check("seed", seed, 0, math.inf, integer=True)
     mu_in = np.asarray(mu_in, dtype=float)
     mu_out = gain * mu_in
     fid = np.array([fidelity_classical(a, b, q) for a, b in zip(mu_in, mu_out)])

@@ -27,7 +27,8 @@ already as floats, so a pass gathers nothing per call. The Monte Carlo
 harness refuses more than MC_MAX_TRIAL_SYMBOLS trial-symbols before it
 allocates anything and draws the symbols MC_CHUNK_SYMBOLS at a time. It
 accepts or rejects each block from its raw uniforms and decodes only
-the accepted blocks, so it holds one chunk plus 8 bytes per trial.
+the accepted blocks, so it holds one chunk plus 8 bytes per trial. The
+exact sums and the Monte Carlo take their binary entropies from qkd.h2.
 
 Quantum route: the standard two-pair recurrence step at the fidelity
 level, F' = (F^2 + ((1-F)/3)^2) / (F^2 + 2F(1-F)/3 + 5((1-F)/3)^2), and
@@ -45,7 +46,7 @@ import numpy as np
 from . import qcore
 from ._checks import check as _check
 from .qkd import (HELSTROM_BINARY, AttackParams, binary_entropy, error_rate,
-                  mutual_information, pair_criteria, symbol_distribution)
+                  h2, mutual_information, pair_criteria, symbol_distribution)
 
 MAX_BLOCK = 64
 # Smallest block advantage counted as real. Near the critical disturbance
@@ -157,15 +158,6 @@ def _count_rows(ne, branches):
     return index, ends, tuple(per_branch)
 
 
-def _h2_vec(p):
-    p = np.clip(p, 0.0, 1.0)
-    out = np.zeros_like(p)
-    inner = (p > 0.0) & (p < 1.0)
-    pi = p[inner]
-    out[inner] = -pi * np.log2(pi) - (1.0 - pi) * np.log2(1.0 - pi)
-    return out
-
-
 def _block_profiles(dist, n_max):
     """Exact block statistics of the block sizes 1..n_max in one pass over
     the count vectors inside the branch supports, read as the prefix of
@@ -192,13 +184,13 @@ def _block_profiles(dist, n_max):
         w[c, at[:m]] += pi_k[k][size[:m]] * np.exp(logs)
     tot = w.sum(axis=0)
     mask = tot > 0.0
-    h = 0.5 * tot[mask] * _h2_vec(w[0, mask] / tot[mask])
+    h = 0.5 * tot[mask] * h2(w[0, mask] / tot[mask])
     # Each block size is summed on its own by ndarray.sum, whose
     # pairwise order does not depend on the sizes around it.
     bounds = np.searchsorted(index[mask], np.arange(n_max + 1)).tolist()
     h_cond = np.array([h[a:b].sum() for a, b in zip(bounds, bounds[1:])])
     # I(A;E) >= 0; at D = 0 the sum of 1 - H(A|E) reads -8.9e-16.
-    return (p_acc, eps_post, 1.0 - _h2_vec(eps_post),
+    return (p_acc, eps_post, 1.0 - h2(eps_post),
             np.maximum(1.0 - h_cond, 0.0))
 
 
@@ -227,6 +219,7 @@ def ad_monte_carlo(dist, n, trials, seed=0):
     """
     n = _check("block size", n, 1, MAX_BLOCK, integer=True)
     trials = _check("trials", trials, 10 ** 4, math.inf, integer=True)
+    seed = _check("seed", seed, 0, math.inf, integer=True)
     if trials * n > MC_MAX_TRIAL_SYMBOLS:
         raise ValueError(
             f"trials * n = {trials * n} exceeds the Monte Carlo budget of "
@@ -271,7 +264,7 @@ def ad_monte_carlo(dist, n, trials, seed=0):
             for k in (0, 1):
                 logw[c_hyp, k] = logq[c_hyp, k][code].sum(axis=1)
         logw_c = np.logaddexp(logw[:, 0], logw[:, 1])
-        h[start:n_acc] = _h2_vec(
+        h[start:n_acc] = h2(
             np.exp(logw_c[0] - np.logaddexp(logw_c[0], logw_c[1])))
     if n_acc == 0:
         raise RuntimeError(

@@ -1,52 +1,39 @@
-"""Two-qubit state toolbox: partial transpose, entanglement (PPT) test,
-singlet fidelity, standard state constructors.
+"""Two-qubit matrix layer behind acceptance criterion 6: Werner states
+under the Peres PPT test, with the partial transpose, the density-matrix
+validator and the singlet fidelity it needs.
 
-States are plain numpy arrays: kets as complex vectors, density matrices
-as complex square matrices. Validators raise ValueError when an input
-breaks the contract of the operation that asked for it.
+Density matrices are plain complex 4x4 (or 2x2) numpy arrays. Validators
+raise ValueError when an input breaks the contract of the operation that
+asked for it. The kets, the Bell basis and the projector of a ket are the
+test helpers in tests/pair_oracle.py.
 """
 
 import numpy as np
 
 from ._checks import check as _check
 
-# Validation tolerances.
-TRACE_ATOL = 1e-10
-HERM_ATOL = 1e-10
-EIG_ATOL = 1e-10
+# Trace, Hermiticity and smallest-eigenvalue tolerance of a density matrix.
+MATRIX_ATOL = 1e-10
 WEIGHT_ATOL = 1e-12  # Bell weights: nonnegative and summing to 1
 PPT_MARGIN = 1e-9  # entangled: partial-transpose eigenvalue below -margin
 
-KET_0 = np.array([1, 0], dtype=complex)
-KET_1 = np.array([0, 1], dtype=complex)
-KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
-KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
-
-# Bell basis, ordered (Phi+, Phi-, Psi+, Psi-).
+# The target pair (|00> + |11>) / sqrt(2).
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
-PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
-PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-BELL_BASIS = (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS)
-
-
-def dm(psi):
-    """Density matrix |psi><psi| of a ket."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
 
 
 def is_hermitian(m):
+    """True iff m is square, finite and Hermitian within MATRIX_ATOL.
+    Finiteness is tested first, so no inf - inf is ever formed."""
     m = np.asarray(m)
-    return (m.shape[0] == m.shape[1]
-            and np.max(np.abs(m - m.conj().T)) <= HERM_ATOL)
+    return (m.shape[0] == m.shape[1] and np.isfinite(m).all()
+            and np.max(np.abs(m - m.conj().T)) <= MATRIX_ATOL)
 
 
 def check_density_matrix(rho):
     """Validate trace one, Hermiticity and positivity of a 2- or 4-dim state.
 
-    Returns the validated array. Tolerances: trace and Hermiticity 1e-10,
-    smallest eigenvalue >= -1e-10.
+    Returns the validated array. Tolerance: MATRIX_ATOL = 1e-10 on the
+    trace, the Hermiticity and the smallest eigenvalue.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -54,13 +41,13 @@ def check_density_matrix(rho):
     if rho.shape[0] not in (2, 4):
         raise ValueError(f"unsupported dimension {rho.shape[0]} (need 2 or 4)")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"trace {tr!r} is not 1 within {TRACE_ATOL}")
+    if abs(tr - 1.0) > MATRIX_ATOL:
+        raise ValueError(f"trace {tr!r} is not 1 within {MATRIX_ATOL}")
     if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian within 1e-10")
     lo = np.linalg.eigvalsh(rho)[0]
-    if lo < -EIG_ATOL:
-        raise ValueError(f"smallest eigenvalue {lo} below -{EIG_ATOL}")
+    if lo < -MATRIX_ATOL:
+        raise ValueError(f"smallest eigenvalue {lo} below -{MATRIX_ATOL}")
     return rho
 
 
@@ -91,7 +78,8 @@ def is_entangled(rho):
 def werner(p):
     """p |Phi+><Phi+| + (1-p) I/4 for p in [0, 1]; entangled iff p > 1/3."""
     _check("werner parameter", p, 0.0, 1.0)
-    return p * dm(PHI_PLUS) + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
+    return (p * np.outer(PHI_PLUS, PHI_PLUS.conj())
+            + (1.0 - p) * np.eye(4, dtype=complex) / 4.0)
 
 
 def singlet_fidelity(rho):

@@ -9,9 +9,11 @@ she measures each probe individually, either with the optimal binary
 measurement on her conditional probe states. The module derives the
 post-sifting classical distribution P(A, B, E), the mutual informations,
 and the critical disturbances for one-way key extraction, CHSH violation
-and entanglement. Both the pair state's criteria and Eve's symbol tables
-are closed forms in the four Bell weights, so no density matrix is built
-and no measurement is diagonalised: each of her probes lies in a
+and entanglement. It also holds the package's one binary entropy: h2
+on arrays, which distill reads, and binary_entropy on one checked
+probability. Both the pair state's criteria and Eve's symbol tables are
+closed forms in the four Bell weights, so no density matrix is built and
+no measurement is diagonalised: each of her probes lies in a
 two-register parity block, and both measurements project that block on
 (|p> +- |q>) / sqrt(2). The square-root outcome is her guess plus the
 pair parity, so its supports {0, 3} and {1, 2} hold by construction.
@@ -130,12 +132,20 @@ def error_rate(dist):
     return float(t[0, 1].sum() + t[1, 0].sum())
 
 
+def h2(p):
+    """Binary entropy in bits of each entry of p, clipped into [0, 1],
+    with the 0 log 0 = 0 convention."""
+    p = np.clip(p, 0.0, 1.0)
+    out = np.zeros_like(p)
+    inner = (p > 0.0) & (p < 1.0)
+    pi = p[inner]
+    out[inner] = -pi * np.log2(pi) - (1.0 - pi) * np.log2(1.0 - pi)
+    return out
+
+
 def binary_entropy(p):
-    """h2(p) in bits with the 0 log 0 = 0 convention."""
-    p = _check("probability", float(p), 0.0, 1.0)
-    if p in (0.0, 1.0):
-        return 0.0
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+    """h2(p) of one probability p in [0, 1], as a float."""
+    return float(h2(_check("probability", float(p), 0.0, 1.0)))
 
 
 def _entropy(p):

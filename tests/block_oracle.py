@@ -73,7 +73,7 @@ def block_profiles(dist, ranges):
             w[c, usable] += pi_k[k, index[usable]] * np.exp(logs)
         tot = w.sum(axis=0)
         mask = tot > 0.0
-        h = 0.5 * tot[mask] * distill._h2_vec(w[0, mask] / tot[mask])
+        h = 0.5 * tot[mask] * qkd.h2(w[0, mask] / tot[mask])
         bounds = np.searchsorted(index[mask], np.arange(hi - lo + 2))
         h_cond = [h[a:b].sum() for a, b in zip(bounds, bounds[1:])]
         yield [distill.AdOutcome(n, p_acc, eps_post, i_ab,

@@ -7,14 +7,15 @@ no basis, because the attack's weights have lam_1 = lam_2.
 
 import numpy as np
 
-from pair_oracle import eig_hermitian
+from pair_oracle import (BELL_BASIS, KET_0, KET_1, KET_MINUS, KET_PLUS,
+                         eig_hermitian)
 from qclink import qcore, qkd
 from qclink._checks import check
 
 BASES = ("z", "x")
 BASIS_KETS = {
-    "z": (qcore.KET_0, qcore.KET_1),
-    "x": (qcore.KET_PLUS, qcore.KET_MINUS),
+    "z": (KET_0, KET_1),
+    "x": (KET_PLUS, KET_MINUS),
 }
 
 
@@ -25,7 +26,7 @@ def attack_state(params):
     index. Tracing out Eve returns the Bell-diagonal pair state.
     """
     lam = qkd.bell_weights(params.disturbance)
-    return (np.array(qcore.BELL_BASIS).T * np.sqrt(lam)).ravel()
+    return (np.array(BELL_BASIS).T * np.sqrt(lam)).ravel()
 
 
 def conditional_probes(psi_abe, basis="z"):

@@ -2,7 +2,8 @@
 for the closed forms in the Bell weights (qkd.pair_criteria and
 distill.recurrence_weights).
 
-Builds the Bell-diagonal state as a 4x4 matrix, reads its CHSH value off
+Holds the one-qubit kets, the Bell basis and the projector of a ket;
+builds the Bell-diagonal state as a 4x4 matrix, reads its CHSH value off
 the correlation tensor, and simulates the bilateral-CNOT recurrence round
 on the 16-dimensional state of two pairs.
 """
@@ -15,6 +16,24 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+KET_0 = np.array([1, 0], dtype=complex)
+KET_1 = np.array([0, 1], dtype=complex)
+KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
+KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
+
+# Bell basis, ordered (Phi+, Phi-, Psi+, Psi-).
+PHI_PLUS = qcore.PHI_PLUS
+PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
+PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
+PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
+BELL_BASIS = (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS)
+
+
+def dm(psi):
+    """Density matrix |psi><psi| of a ket."""
+    psi = np.asarray(psi, dtype=complex)
+    return np.outer(psi, psi.conj())
 
 
 def eig_hermitian(m):
@@ -61,8 +80,8 @@ def bell_diagonal(weights):
         raise ValueError(f"Bell weights sum to {w.sum()!r}, not 1")
     w = np.clip(w, 0.0, None)
     rho = np.zeros((4, 4), dtype=complex)
-    for wi, ket in zip(w, qcore.BELL_BASIS):
-        rho += wi * qcore.dm(ket)
+    for wi, ket in zip(w, BELL_BASIS):
+        rho += wi * dm(ket)
     return rho
 
 
@@ -91,13 +110,13 @@ def recurrence_explicit(weights):
     big = u @ big @ u.conj().T
     p_success = 0.0
     kept = np.zeros((4, 4), dtype=complex)
-    for ket in (qcore.KET_0, qcore.KET_1):
+    for ket in (KET_0, KET_1):
         # projector on A2 = B2 = m (last two tensor slots)
-        proj = np.kron(np.eye(4), np.kron(qcore.dm(ket), qcore.dm(ket)))
+        proj = np.kron(np.eye(4), np.kron(dm(ket), dm(ket)))
         p_success += np.trace(big @ proj).real
         r4 = (proj @ big @ proj).reshape(4, 4, 4, 4)
         kept += np.einsum("ikjk->ij", r4)
     kept /= p_success
     new_weights = np.array([
-        float(np.real(b.conj() @ kept @ b)) for b in qcore.BELL_BASIS])
+        float(np.real(b.conj() @ kept @ b)) for b in BELL_BASIS])
     return new_weights, float(p_success)

@@ -68,3 +68,16 @@ def test_invalid_library_input_is_value_error(call):
     error."""
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda seed: distill.ad_monte_carlo(DIST, 8, 10 ** 4, seed=seed),
+    lambda seed: cloning.birth_process_mc(1, 3, 10 ** 4, seed=seed),
+    lambda seed: cloning.generate_fidelity_dataset(
+        0.8, [1.0, 2.0], noise_sigma=0.01, seed=seed)],
+    ids=["ad-monte-carlo", "birth-process-mc", "fidelity-dataset"])
+@pytest.mark.parametrize("seed", [math.nan, math.inf, 1.5, -1])
+def test_invalid_seed_is_value_error(call, seed):
+    """numpy raised TypeError for a NaN, infinite or fractional seed."""
+    with pytest.raises(ValueError, match="seed"):
+        call(seed)

@@ -143,6 +143,15 @@ class TestParse:
         assert cli.main(args + ["--config", config]) == 1
         assert not list(tmp_path.glob("qkd-sweep-0.*"))
 
+    def test_thresholds_have_no_tol_option(self, tmp_path):
+        """Every tolerance the option admitted was coarser than the
+        default, so the option is gone."""
+        args = ["qkd", "thresholds", "--outdir", str(tmp_path)]
+        assert cli.main(args + ["--tol", "1e-3"]) == 1
+        config = write_config(tmp_path, {"tol": 1e-3})
+        assert cli.main(args + ["--config", config]) == 1
+        assert not list(tmp_path.glob("qkd-thresholds-0.*"))
+
     def test_outdir_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
         cfg = cli.parse(["clone", "fidelity", "--n", "1", "--m", "2"])
@@ -251,13 +260,6 @@ class TestExitCodes:
             warnings.simplefilter("error")
             assert cli.main(args + ["--outdir", str(tmp_path)]) == 1
         assert f"angle {name} must be finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0.5"])
-    def test_threshold_tolerance_is_one(self, tmp_path, capsys, tol):
-        code, csv_path, _ = run_cli(["qkd", "thresholds", "--tol", tol],
-                                    tmp_path, "qkd-thresholds-0")
-        assert code == 1 and not csv_path.exists()
-        assert "tolerance" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag, value", out_of_range_cases())
     def test_out_of_range_flag_is_one(self, tmp_path, capsys, command, flag,

@@ -56,7 +56,7 @@ def dense_i_ae(dist, n):
     tot = w.sum(axis=0)
     mask = tot > 0.0
     post0 = w[0, mask] / tot[mask]
-    return max(1.0 - float((0.5 * tot[mask] * distill._h2_vec(post0)).sum()),
+    return max(1.0 - float((0.5 * tot[mask] * qkd.h2(post0)).sum()),
                0.0)
 
 
@@ -327,7 +327,7 @@ def one_shot_monte_carlo(dist, n, trials, seed):
         for k in (0, 1):
             logw[c_hyp, k] = logt[m ^ c_hyp, m ^ c_hyp ^ k, e_acc].sum(axis=1)
     logw_c = np.logaddexp(logw[:, 0], logw[:, 1])
-    h = distill._h2_vec(np.exp(logw_c[0] - np.logaddexp(*logw_c)))
+    h = qkd.h2(np.exp(logw_c[0] - np.logaddexp(*logw_c)))
     return (int(accept.sum()), int((accept & (err[:, 0] == 1)).sum()),
             float(h.mean()), float(h.std(ddof=1)))
 

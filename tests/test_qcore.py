@@ -1,10 +1,13 @@
 """Unit tests for the two-qubit toolbox and the density-matrix oracles
 of tests/pair_oracle.py."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from pair_oracle import SIGMA_X, bell_diagonal, chsh_max, eig_hermitian
+from pair_oracle import (KET_0, KET_1, KET_MINUS, KET_PLUS, SIGMA_X,
+                         bell_diagonal, chsh_max, dm, eig_hermitian)
 from qclink import qcore
 
 
@@ -24,21 +27,21 @@ def random_density_matrix(rng, dim):
 class TestTensor:
     def test_basis_product(self):
         np.testing.assert_allclose(
-            np.kron(qcore.KET_0, qcore.KET_0), [1, 0, 0, 0])
+            np.kron(KET_0, KET_0), [1, 0, 0, 0])
 
     def test_identity_product(self):
         np.testing.assert_allclose(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_pair_state_amplitudes(self):
         """The target pair state has amplitudes (1, 0, 0, 1)/sqrt(2)."""
-        built = (np.kron(qcore.KET_0, qcore.KET_0)
-                 + np.kron(qcore.KET_1, qcore.KET_1)) / np.sqrt(2)
+        built = (np.kron(KET_0, KET_0)
+                 + np.kron(KET_1, KET_1)) / np.sqrt(2)
         np.testing.assert_allclose(built, qcore.PHI_PLUS, atol=1e-15)
 
     def test_same_state_in_both_bases(self):
         """Phi+ expands with a plus sign in the x basis as well."""
-        in_x = (np.kron(qcore.KET_PLUS, qcore.KET_PLUS)
-                + np.kron(qcore.KET_MINUS, qcore.KET_MINUS)) / np.sqrt(2)
+        in_x = (np.kron(KET_PLUS, KET_PLUS)
+                + np.kron(KET_MINUS, KET_MINUS)) / np.sqrt(2)
         np.testing.assert_allclose(in_x, qcore.PHI_PLUS, atol=1e-15)
 
 
@@ -46,7 +49,7 @@ class TestMeasurementCorrelations:
     """Measuring the pair state in matching bases yields equal random bits."""
 
     @pytest.mark.parametrize("kets", [
-        (qcore.KET_0, qcore.KET_1), (qcore.KET_PLUS, qcore.KET_MINUS)])
+        (KET_0, KET_1), (KET_PLUS, KET_MINUS)])
     def test_equal_outcomes(self, kets):
         probs = np.zeros((2, 2))
         for a, ka in enumerate(kets):
@@ -60,7 +63,7 @@ class TestMeasurementCorrelations:
 
 class TestPartialTrace:
     def test_maximally_entangled_reduces_to_identity(self):
-        r = qcore.dm(qcore.PHI_PLUS).reshape(2, 2, 2, 2)  # (a, b, a', b')
+        r = dm(qcore.PHI_PLUS).reshape(2, 2, 2, 2)  # (a, b, a', b')
         np.testing.assert_allclose(np.einsum("abcb->ac", r), np.eye(2) / 2,
                                    atol=1e-12)
 
@@ -95,7 +98,7 @@ class TestEntanglement:
             assert lo >= -1e-9
 
     def test_pair_state_minimum_eigenvalue(self):
-        rho = qcore.dm(qcore.PHI_PLUS)
+        rho = dm(qcore.PHI_PLUS)
         # oracle: elementwise partial transpose, then eigenvalues
         ref = np.linalg.eigvalsh(_reference_partial_transpose(rho))[0]
         assert ref == pytest.approx(-0.5, abs=1e-12)
@@ -117,7 +120,7 @@ class TestEntanglement:
 
 class TestChsh:
     def test_pair_state_reaches_maximum(self):
-        assert chsh_max(qcore.dm(qcore.PHI_PLUS)) == pytest.approx(
+        assert chsh_max(dm(qcore.PHI_PLUS)) == pytest.approx(
             2 * np.sqrt(2), abs=1e-12)
 
     def test_maximally_mixed_is_zero(self):
@@ -142,7 +145,7 @@ class TestChsh:
 class TestConstructors:
     def test_bell_diagonal_pure_limit(self):
         np.testing.assert_allclose(bell_diagonal([1, 0, 0, 0]),
-                                   qcore.dm(qcore.PHI_PLUS), atol=1e-15)
+                                   dm(qcore.PHI_PLUS), atol=1e-15)
 
     def test_werner_zero_is_maximally_mixed(self):
         np.testing.assert_allclose(qcore.werner(0.0), np.eye(4) / 4, atol=1e-15)
@@ -198,6 +201,20 @@ class TestValidation:
         """singlet_fidelity used to read 0.4999999999999999 off a trace-2
         matrix and nan off a NaN one, where its siblings raise."""
         for f in (qcore.is_entangled, chsh_max, qcore.singlet_fidelity):
+            with pytest.raises(ValueError):
+                f(bad)
+
+    @pytest.mark.parametrize("f", [
+        qcore.check_density_matrix, qcore.partial_transpose,
+        qcore.is_entangled, qcore.singlet_fidelity])
+    def test_infinite_entries_raise_without_a_warning(self, f):
+        """A symmetric pair of inf entries used to warn "invalid value
+        encountered in subtract" before the ValueError, so under -W error
+        the caller saw a RuntimeWarning."""
+        bad = np.eye(4, dtype=complex) / 4
+        bad[0, 1] = bad[1, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ValueError):
                 f(bad)
 

@@ -9,7 +9,8 @@ import pytest
 
 from eve_tables import (BASES, BASIS_KETS, attack_state, conditional_probes,
                         eigen_table, helstrom, square_root_povm)
-from pair_oracle import bell_diagonal, chsh_max
+from pair_oracle import (BELL_BASIS, KET_0, KET_1, KET_PLUS, bell_diagonal,
+                         chsh_max, dm)
 from qclink import qcore, qkd
 
 ROOT2 = np.sqrt(2.0)
@@ -84,7 +85,7 @@ class TestAttackState:
     def test_amplitudes_equal_bell_probe_sum(self, d):
         psi = np.zeros(16, dtype=complex)
         for i, (w, bell) in enumerate(zip(qkd.bell_weights(d),
-                                          qcore.BELL_BASIS)):
+                                          BELL_BASIS)):
             psi += np.sqrt(w) * np.kron(bell, np.eye(4)[i])
         assert np.array_equal(attack_state(qkd.AttackParams(d)), psi)
 
@@ -228,7 +229,7 @@ class TestSymbolDistribution:
     def test_square_root_povm_rejects_bad_priors(self, priors):
         """Priors (-1, 2) used to give a "POVM" whose first element is -0."""
         with pytest.raises(ValueError, match="prior"):
-            square_root_povm([qcore.KET_0, qcore.KET_1], priors)
+            square_root_povm([KET_0, KET_1], priors)
 
 
 class TestHelstrom:
@@ -239,7 +240,7 @@ class TestHelstrom:
         np.testing.assert_allclose(pi0 + pi1, np.eye(2), atol=1e-12)
 
     def test_orthogonal_pure_states(self):
-        succ, _ = helstrom(qcore.dm(qcore.KET_0), qcore.dm(qcore.KET_1))
+        succ, _ = helstrom(dm(KET_0), dm(KET_1))
         assert succ == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("theta", np.linspace(0.05, np.pi / 2, 7))
@@ -247,7 +248,7 @@ class TestHelstrom:
         """Equal priors, overlap cos(theta): success (1 + sin(theta)) / 2."""
         psi0 = np.array([1.0, 0.0], dtype=complex)
         psi1 = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
-        succ, _ = helstrom(qcore.dm(psi0), qcore.dm(psi1))
+        succ, _ = helstrom(dm(psi0), dm(psi1))
         assert succ == pytest.approx((1 + np.sin(theta)) / 2, abs=1e-12)
 
     def test_trace_norm_identity(self):
@@ -264,8 +265,7 @@ class TestHelstrom:
             assert succ == pytest.approx(0.5 * (1 + tn), abs=1e-12)
 
     def test_povm_is_valid(self):
-        succ, (pi0, pi1) = helstrom(qcore.dm(qcore.KET_0),
-                                    qcore.dm(qcore.KET_PLUS))
+        succ, (pi0, pi1) = helstrom(dm(KET_0), dm(KET_PLUS))
         for pi in (pi0, pi1):
             assert np.min(np.linalg.eigvalsh(pi)) >= -1e-12
         np.testing.assert_allclose(pi0 + pi1, np.eye(2), atol=1e-12)
