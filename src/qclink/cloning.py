@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from ._checks import check as _check
+from ._checks import check as _check, check_array as _check_array
 
 # Largest trial count birth_process_mc accepts: about 0.34 GB of samples.
 BIRTH_MAX_TRIALS = 10 ** 7
@@ -142,17 +142,10 @@ def poisson_mixture_fidelity(mu_in, gain):
 
 
 def _as_records(data):
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValueError("dataset must be an (k, 3) array of "
-                         "(mu_in, mu_out, fidelity) records")
-    if not np.isfinite(arr).all():
-        raise ValueError("intensities and fidelities must be finite")
-    if np.any(arr[:, :2] <= 0.0):
-        raise ValueError("intensities must be positive")
-    if np.any((arr[:, 2] <= 0.0) | (arr[:, 2] > 1.0)):
-        raise ValueError("fidelities must lie in (0, 1]")
-    return arr
+    """(k, 3) float records: positive intensities, fidelities in (0, 1]."""
+    big = np.finfo(float).max
+    return _check_array("(mu_in, mu_out, fidelity) records", data,
+                        math.ulp(0.0), (big, big, 1.0), (None, 3))
 
 
 def fit_q(data):
@@ -201,12 +194,12 @@ def fit_q(data):
 def generate_fidelity_dataset(q, mu_in, gain=10.0, noise_sigma=0.0, seed=0):
     """Synthetic (mu_in, mu_out, fidelity) records from the amplifier law.
 
-    mu_out = gain * mu_in; optional additive Gaussian noise on the
-    fidelities, clipped into (0, 1].
+    mu_in is a 1-D array of positive intensities, mu_out = gain * mu_in;
+    optional additive Gaussian noise on the fidelities, clipped into (0, 1].
     """
     _check("noise sigma", noise_sigma, 0.0)
     seed = _check("seed", seed, 0, math.inf, integer=True)
-    mu_in = np.asarray(mu_in, dtype=float)
+    mu_in = _check_array("mu_in", mu_in, math.ulp(0.0))
     mu_out = gain * mu_in
     fid = np.array([fidelity_classical(a, b, q) for a, b in zip(mu_in, mu_out)])
     if noise_sigma > 0.0:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from ._checks import check as _check
+from ._checks import check as _check, check_array as _check_array
 from .qkd import (HELSTROM_BINARY, AttackParams, binary_entropy, error_rate,
                   h2, mutual_information, pair_criteria, symbol_distribution)
 
@@ -333,14 +333,11 @@ def recurrence_weights(weights):
     weights lam = (Phi+, Phi-, Psi+, Psi-) this is the map
     lam' = (lam_0^2 + lam_1^2, 2 lam_0 lam_1, lam_2^2 + lam_3^2,
     2 lam_2 lam_3) / N with success probability
-    N = (lam_0 + lam_1)^2 + (lam_2 + lam_3)^2. Weights must be
-    nonnegative and sum to 1 within qcore.WEIGHT_ATOL. Returns (lam', N).
+    N = (lam_0 + lam_1)^2 + (lam_2 + lam_3)^2. The four weights must lie
+    in [0, 1] and sum to 1, within qcore.WEIGHT_ATOL. Returns (lam', N).
     """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (4,):
-        raise ValueError("need exactly four Bell weights")
-    if not (w >= -qcore.WEIGHT_ATOL).all():
-        raise ValueError(f"negative or NaN Bell weight in {w}")
+    w = _check_array("Bell weights", weights, -qcore.WEIGHT_ATOL,
+                     1.0 + qcore.WEIGHT_ATOL, (4,))
     if abs(w.sum() - 1.0) > qcore.WEIGHT_ATOL:
         raise ValueError(f"Bell weights sum to {w.sum()!r}, not 1")
     l0, l1, l2, l3 = np.clip(w, 0.0, None)
@@ -364,13 +361,12 @@ class EquivalenceRow:
 
 
 def equivalence_sweep(d_grid, n_max=30, eve_measurement=HELSTROM_BINARY):
-    """Per-disturbance table of the pair state's entanglement, CHSH value
-    and singlet fidelity (closed forms, qkd.pair_criteria), the one-copy
-    informations and the smallest distillable block size. n_max=None
-    skips the block scan and leaves ad_min_block None."""
+    """Table over a 1-D d_grid in [0, 0.5] of the pair state's entanglement,
+    CHSH value and singlet fidelity (closed forms, qkd.pair_criteria), the
+    one-copy informations and the smallest distillable block size.
+    n_max=None skips the block scan and leaves ad_min_block None."""
     rows = []
-    for d in np.asarray(d_grid, dtype=float):
-        d = float(d)
+    for d in _check_array("disturbance", d_grid, 0.0, 0.5).tolist():
         dist = symbol_distribution(
             AttackParams(d, eve_measurement=eve_measurement))
         lo, chsh, fidelity = pair_criteria(d)

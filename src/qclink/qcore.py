@@ -22,10 +22,10 @@ PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
 def is_hermitian(m):
-    """True iff m is square, finite and Hermitian within MATRIX_ATOL.
+    """True iff m is a finite square matrix, Hermitian within MATRIX_ATOL.
     Finiteness is tested first, so no inf - inf is ever formed."""
     m = np.asarray(m)
-    return (m.shape[0] == m.shape[1] and np.isfinite(m).all()
+    return (m.ndim == 2 and m.shape[0] == m.shape[1] and np.isfinite(m).all()
             and np.max(np.abs(m - m.conj().T)) <= MATRIX_ATOL)
 
 

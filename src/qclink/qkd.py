@@ -10,7 +10,7 @@ measurement on her conditional probe states. The module derives the
 post-sifting classical distribution P(A, B, E), the mutual informations,
 and the critical disturbances for one-way key extraction, CHSH violation
 and entanglement. It also holds the package's one binary entropy: h2
-on arrays, which distill reads, and binary_entropy on one checked
+on finite arrays, which distill reads, and binary_entropy on one checked
 probability. Both the pair state's criteria and Eve's symbol tables are
 closed forms in the four Bell weights, so no density matrix is built and
 no measurement is diagonalised: each of her probes lies in a
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check as _check
+from ._checks import check as _check, check_array as _check_array
 
 HELSTROM_BINARY = "helstrom_binary"
 SQUARE_ROOT_4 = "square_root_4"
@@ -64,11 +64,9 @@ class SymbolDistribution:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        if t.ndim != 3 or t.shape[:2] != (2, 2) or t.shape[2] not in (2, 4):
+        t = _check_array("symbol table", self.table, 0.0, 1.0, (2, 2, None))
+        if t.shape[2] not in (2, 4):
             raise ValueError(f"expected table of shape (2, 2, 2|4), got {t.shape}")
-        if not (t >= 0.0).all():
-            raise ValueError("negative or NaN probability in symbol table")
         if abs(t.sum() - 1.0) > 1e-12:
             raise ValueError(f"symbol table sums to {t.sum()!r}, not 1")
         pa = t.sum(axis=(1, 2))
@@ -134,8 +132,8 @@ def error_rate(dist):
 
 def h2(p):
     """Binary entropy in bits of each entry of p, clipped into [0, 1],
-    with the 0 log 0 = 0 convention."""
-    p = np.clip(p, 0.0, 1.0)
+    with the 0 log 0 = 0 convention. Entries must be finite."""
+    p = np.clip(_check_array("probability", p, shape=np.shape(p)), 0.0, 1.0)
     out = np.zeros_like(p)
     inner = (p > 0.0) & (p < 1.0)
     pi = p[inner]

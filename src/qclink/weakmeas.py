@@ -25,8 +25,8 @@ independent cross-check for both.
 
 A chain of elements leaves a field E(t) = sum_j a_j exp(-(t-d_j)^2/(2 t_c^2)),
 one term per path through its delay sections, except that terms whose
-delays coincide exactly merge as the chain is built: k sections of one
-delay keep O(k) terms, not 2^k.
+delays coincide within 4 ulps merge as the chain is built: k sections of
+one delay keep at most k + 1 terms, not 2^k.
 Its energy and mean arrival time are the integrals of |E|^2 and t |E|^2,
 taken by the trapezoid rule on a uniform grid of step t_c/2.5 around each
 cluster of delays (clusters split at gaps over 15 t_c; a grid reaches
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check as _check
+from ._checks import check as _check, check_array as _check_array
 
 RESOLUTION_STEP = 1.0 / 20.0  # coarsest safe grid step, in units of t_c
 DEFAULT_STEP = 1.0 / 100.0
@@ -149,7 +149,7 @@ class PropagatedField:
     def __init__(self, t_c, delays, amps):
         self.t_c = float(_check("pulse width", t_c, math.ulp(0.0)))
         # Read-only copies: the integrals below are cached per field.
-        self.delays = np.array(delays, dtype=float, ndmin=1)
+        self.delays = _check_array("delays", delays).copy()
         self.amps = np.array(amps, dtype=complex).reshape(-1, 2)
         self.delays.flags.writeable = self.amps.flags.writeable = False
         if self.delays.shape[0] != self.amps.shape[0]:
@@ -159,20 +159,15 @@ class PropagatedField:
         spread = (float(self.delays.max()) - float(self.delays.min())
                   if self.delays.size else 0.0)
         if not (math.isfinite(spread) and np.isfinite(self.amps).all()):
-            raise ValueError("delays, their spread and amplitudes must be "
-                             "finite")
+            raise ValueError("delay spread and amplitudes must be finite")
 
     def sample(self, t):
         """Complex field components on a time grid, shape (len(t), 2).
 
-        The terms x points exponentials are built a block of points at a
-        time, each block within the QUAD_BLOCK budget.
+        t is a finite 1-D grid. The terms x points exponentials are built
+        a block of points at a time, each within the QUAD_BLOCK budget.
         """
-        t = np.asarray(t, dtype=float)
-        if t.ndim != 1:
-            raise ValueError(f"sample times must form a 1-D grid: {t.shape}")
-        if not np.isfinite(t).all():
-            raise ValueError("sample times must be finite")
+        t = _check_array("sample times", t)
         out = np.empty((t.shape[0], 2), dtype=complex)
         points = max(QUAD_BLOCK // max(self.delays.size, 1), 1)
         for lo in range(0, t.shape[0], points):
@@ -249,11 +244,14 @@ class PropagatedField:
 
 
 def _merge_coincident(delays, amps):
-    """Sum the amplitudes of terms whose delays are exactly equal into one
-    term, in ascending delay order. Without a repeated delay the terms are
-    returned as they are, in their own order."""
+    """Merge terms whose sorted delays lie within 4 ulps of the largest
+    |delay|, as +-dtau/2 sums in other path orders do, into one term at the
+    first, in ascending order; a subnormal or infinite tolerance merges only
+    equal delays. Without a merge the terms are returned unchanged."""
     d = np.sort(delays)
-    rises = d[1:] != d[:-1]
+    tol = 4.0 * math.ulp(max(-d[0], d[-1])) if d.size else 0.0
+    tol = tol if 2.0 ** -1022 <= tol < math.inf else 0.0
+    rises = d[1:] > d[:-1] + tol
     if np.count_nonzero(rises) == rises.size:
         return delays, amps
     first = np.concatenate(([True], rises)).nonzero()[0]
@@ -266,8 +264,8 @@ def propagate(pulse, elements):
 
     An empty chain returns the input as a one-term field. A delay section
     sends each term's slow and fast components to two new terms; terms
-    whose delays then coincide exactly merge into one, so k sections of
-    one delay keep O(k) terms instead of 2^k. Where no delay repeats, the
+    whose delays then coincide within 4 ulps merge into one, so k sections
+    of one delay keep at most k + 1 terms, not 2^k. Where none coincide, the
     terms keep one per path, in chain order. Terms of zero amplitude are
     dropped. Output energy never exceeds the input energy and is
     conserved exactly when the chain contains no loss element.
@@ -402,13 +400,11 @@ def discrimination_error(delta_tau, t_c):
 
 
 def peak_separation(t, intensity):
-    """Distance between the outer local maxima of a sampled intensity.
-
-    Zero when the profile has a single peak (unresolved regime).
+    """Distance between the outer local maxima of an intensity sampled on
+    a 1-D grid t, both finite; zero for a single peak (unresolved regime).
     """
-    t, y = np.asarray(t, dtype=float), np.asarray(intensity, dtype=float)
-    if not (np.isfinite(t).all() and np.isfinite(y).all()):
-        raise ValueError("sample times and intensities must be finite")
+    t = _check_array("sample times", t)
+    y = _check_array("intensities", intensity, shape=t.shape)
     inner = (y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])
     peaks = np.flatnonzero(inner) + 1
     if peaks.size < 2:
@@ -440,21 +436,15 @@ def toa_transition_sweep(pre, post, delta_tau_grid, t_c):
     once, and the closed form and the weak value are evaluated on the
     whole grid as arrays in the operation order of mean_toa_closed and
     weak_value, so each row equals mean_toa_closed(PolarizedPulse(t_c,
-    pre), ...) and weak_value(pre, ...) bit for bit. The grid
-    must be positive and finite. A blocked first point raises before an
+    pre), ...) and weak_value(pre, ...) bit for bit. The grid must be
+    1-D, positive and finite. A blocked first point raises before an
     orthogonal post-selection does, any other blocked point after it.
     """
-    grid = np.asarray(delta_tau_grid, dtype=float)
-    if grid.ndim != 1:
-        raise ValueError("delay grid must be one-dimensional")
-    if np.any(grid <= 0.0):
-        raise ValueError("delay grid must be positive")
+    grid = _check_array("delay grid", delta_tau_grid, math.ulp(0.0))
     psi = _unit_jones(pre)
     if grid.size == 0:
         return []
     _check("pulse width", t_c, math.ulp(0.0))
-    if not np.isfinite(grid).all():
-        raise ValueError("delay grid must be finite")
     # psi is the vector PolarizedPulse(t_c, pre) and weak_value(pre, ...)
     # use: pre normalised once.
     *terms, num, den = _section_terms(psi, PmdElement(0.0), post)

@@ -1,13 +1,14 @@
-"""Tests for the shared range check and the library inputs it guards."""
+"""Tests for the shared range checks and the library inputs they guard."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from qclink import cloning, distill, qkd
 from qclink import weakmeas as wm
-from qclink._checks import check
+from qclink._checks import check, check_array
 
 
 class TestCheck:
@@ -46,6 +47,73 @@ class TestCheck:
             check("x", 10 ** 400, 0, 10, integer=True)
 
 
+class TestCheckArray:
+    def test_returns_float64_array(self):
+        arr = check_array("x", [0, 1, 2])
+        assert arr.dtype == np.float64 and arr.tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("value", [np.zeros((0, 3)), np.ones((5, 3))])
+    def test_none_axis_admits_any_length(self, value):
+        assert check_array("x", value, shape=(None, 3)).shape == value.shape
+
+    @pytest.mark.parametrize("value, shape", [
+        (np.ones((5, 2)), (None, 3)), (np.ones(3), (None, 3)),
+        (0.5, (None,)), (np.ones((1, 2)), (None,)),
+        (np.ones((2, 3, 2)), (2, 2, None)), (np.ones(3), (4,))])
+    def test_wrong_shape_names_both_shapes(self, value, shape):
+        message = f"x must have shape {shape}, got {np.shape(value)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_array("x", value, shape=shape)
+
+    def test_zero_d_shape(self):
+        assert check_array("x", 0.25, 0.0, 0.5, shape=()).shape == ()
+
+    @pytest.mark.parametrize("lo, hi", [(-np.inf, np.inf), (0.0, 1.0)])
+    def test_nan_always_fails(self, lo, hi):
+        with pytest.raises(ValueError, match=r"^x must be finite, got nan$"):
+            check_array("x", [0.5, np.nan], lo, hi)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinity_fails_by_default(self, bad):
+        with pytest.raises(ValueError, match="x must be finite"):
+            check_array("x", [0.0, bad])
+
+    def test_infinity_passes_as_a_bound(self):
+        value = [-np.inf, 0.0, np.inf]
+        assert check_array("x", value, -np.inf, np.inf).tolist() == value
+        with pytest.raises(ValueError, match="x must be finite, got -inf"):
+            check_array("x", value, 0.0, np.inf)
+
+    def test_message_names_the_first_bad_entry(self):
+        with pytest.raises(ValueError,
+                           match=r"^x must lie in \[0.0, 0.5\], got 0.7$"):
+            check_array("x", [[0.1, 0.7], [0.9, -1.0]], 0.0, 0.5,
+                        shape=(2, 2))
+
+    def test_message_reads_as_the_scalar_check(self):
+        for value in (0.6, np.nan, -np.inf):
+            with pytest.raises(ValueError) as scalar:
+                check("x", value, 0.0, 0.5)
+            with pytest.raises(ValueError) as array:
+                check_array("x", [0.1, value], 0.0, 0.5)
+            assert str(array.value) == str(scalar.value)
+
+    def test_bounds_per_entry(self):
+        hi = (10.0, 10.0, 1.0)
+        assert check_array("x", [[2.0, 5.0, 1.0]], 0.0, hi,
+                           shape=(None, 3)).shape == (1, 3)
+        with pytest.raises(ValueError,
+                           match=r"^x must lie in \[0.0, 1.0\], got 1.5$"):
+            check_array("x", [[2.0, 5.0, 0.5], [2.0, 5.0, 1.5]], 0.0, hi,
+                        shape=(None, 3))
+
+    @pytest.mark.parametrize("value", ["abc", {}, [[1.0], [1.0, 2.0]],
+                                       [1 + 2j]])
+    def test_non_float_input_is_value_error(self, value):
+        with pytest.raises(ValueError, match="x must be an array of floats"):
+            check_array("x", value)
+
+
 DIST = qkd.symbol_distribution(qkd.AttackParams(0.1))
 
 
@@ -81,3 +149,32 @@ def test_invalid_seed_is_value_error(call, seed):
     """numpy raised TypeError for a NaN, infinite or fractional seed."""
     with pytest.raises(ValueError, match="seed"):
         call(seed)
+
+
+FIELD_AMPS = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: distill.equivalence_sweep(0.2),
+    lambda: distill.equivalence_sweep([[0.1, 0.2]]),
+    lambda: distill.equivalence_sweep([0.1, math.nan]),
+    lambda: wm.peak_separation([0.0, 1.0, 2.0], [0, 1, 0, 1, 0]),
+    lambda: wm.peak_separation(np.eye(3), np.eye(3)),
+    lambda: wm.peak_separation(1.0, 1.0),
+    lambda: wm.PropagatedField(1.0, [[0.0], [1.0]], FIELD_AMPS).mean_toa(),
+    lambda: wm.PropagatedField(1.0, 0.0, [1.0, 0.0]).mean_toa(),
+    lambda: wm.PropagatedField(1.0, [0.0, math.nan], FIELD_AMPS),
+    lambda: cloning.generate_fidelity_dataset(0.8, 1.0),
+    lambda: cloning.generate_fidelity_dataset(0.8, [[1.0, 2.0]]),
+    lambda: cloning.generate_fidelity_dataset(0.8, [1.0, math.nan]),
+    lambda: qkd.h2(np.array([math.nan, 0.5])),
+    lambda: qkd.h2(np.array([[0.5, math.inf]]))],
+    ids=["sweep-0d", "sweep-2d", "sweep-nan", "peaks-lengths", "peaks-2d",
+         "peaks-0d", "field-2d", "field-0d", "field-nan", "dataset-0d",
+         "dataset-2d", "dataset-nan", "h2-nan", "h2-inf"])
+def test_array_entry_points_raise_value_error(call):
+    """A 0-d or 2-D grid, intensities of another length than their times
+    and a NaN entry raise ValueError, where they used to raise TypeError
+    or IndexError, return 0.0, or read NaN as zero bits."""
+    with pytest.raises(ValueError):
+        call()

@@ -517,7 +517,7 @@ class TestRecurrence:
                 route(weights)
 
     def test_explicit_protocol_rejects_nan(self):
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match="Bell weights must be finite"):
             distill.recurrence_weights([0.5, np.nan, 0.25, 0.25])
         with pytest.raises(ValueError, match="NaN"):
             recurrence_explicit([0.5, np.nan, 0.25, 0.25])

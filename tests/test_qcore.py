@@ -190,6 +190,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             bell_diagonal([bad, 0.5, 0.25, 0.25])
 
+    @pytest.mark.parametrize("m", [np.zeros(2), np.zeros((2, 2, 2))])
+    def test_is_hermitian_needs_a_matrix(self, m):
+        """A 1-D array raised IndexError; a zero (2, 2, 2) array read as
+        Hermitian."""
+        assert not qcore.is_hermitian(m)
+
     def test_positivity_required(self):
         bad = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
         with pytest.raises(ValueError):

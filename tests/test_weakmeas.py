@@ -333,7 +333,7 @@ class TestTrapezoidMoments:
     def test_samples_need_a_1d_grid(self, t):
         field = wm.propagate(wm.PolarizedPulse(TC, [1, 1]),
                              [wm.PmdElement(0.5)])
-        with pytest.raises(ValueError, match="1-D grid"):
+        with pytest.raises(ValueError, match="sample times must have shape"):
             field.sample(t)
 
     @pytest.mark.parametrize("t", [[np.nan], [0.0, np.inf], [-np.inf, 1.0]])
@@ -425,6 +425,16 @@ class TestCoincidentDelays:
         assert peak < 50 * 2 ** 20
         assert energy == pytest.approx(np.sqrt(np.pi) * TC, rel=1e-12)
         assert abs(toa) <= spread
+
+
+    def test_equal_delay_chain_keeps_one_term_per_delay(self):
+        """Path sums of +-dtau/2 that differ by an ulp merge: 64 sections
+        of one delay keep exactly its 65 distinct multiples."""
+        rng = np.random.default_rng(65)
+        for _ in range(10):
+            pulse = wm.PolarizedPulse(TC, elliptical(rng))
+            chain, _ = equal_delay_chain(rng, TC, 64, loss=False)
+            assert wm.propagate(pulse, chain).delays.size == 65
 
 
 def sum_bits(sums):
@@ -743,7 +753,7 @@ class TestTransitionSweep:
                                     [0.1, bad, 0.2], TC)
 
     def test_grid_must_be_one_dimensional(self):
-        with pytest.raises(ValueError, match="one-dimensional"):
+        with pytest.raises(ValueError, match="delay grid must have shape"):
             wm.toa_transition_sweep(wm.jones_linear(0.1), None, 0.1, TC)
 
     def test_empty_grid_gives_no_rows(self):
