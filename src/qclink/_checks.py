@@ -1,4 +1,4 @@
-"""The range checks behind every scalar and float-array input test."""
+"""The range checks behind every scalar, float and complex array input."""
 
 import math
 import sys
@@ -24,21 +24,25 @@ def check(name, value, lo=-_MAX, hi=_MAX, integer=False):
     raise ValueError(f"{name} must {kind} [{lo}, {hi}], got {value}")
 
 
-def check_array(name, value, lo=-_MAX, hi=_MAX, shape=(None,)):
-    """Return value as a float64 array of the given shape, each axis a
-    fixed length or None for any, whose entries pass check(name, entry,
-    lo, hi); lo and hi may hold one bound per entry. The first bad entry
-    raises check's ValueError, and so does a value that is no float array.
+def check_array(name, value, lo=-_MAX, hi=_MAX, shape=(None,), dtype=float):
+    """Return value as a float64 array, complex128 for dtype=complex, of
+    the given shape, each axis a fixed length or None for any, whose
+    entries pass check(name, entry, lo, hi): of a complex array, first
+    every real part, then every imaginary part. lo and hi may hold one
+    bound per entry. The first bad entry raises check's ValueError, and
+    so does a value of no such array.
     """
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError):
-        raise ValueError(f"{name} must be an array of floats") from None
+        kind = "floats" if dtype is float else "complex numbers"
+        raise ValueError(f"{name} must be an array of {kind}") from None
     if arr.ndim != len(shape) or any(
             n not in (None, m) for n, m in zip(shape, arr.shape)):
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    ok = (arr >= lo) & (arr <= hi)
+    parts = arr if dtype is float else np.array((arr.real, arr.imag))
+    ok = (parts >= lo) & (parts <= hi)
     if not ok.all():
         check(name, *(float(x[~ok][0])
-                      for x in np.broadcast_arrays(arr, lo, hi)))
+                      for x in np.broadcast_arrays(parts, lo, hi)))
     return arr

@@ -142,10 +142,12 @@ def poisson_mixture_fidelity(mu_in, gain):
 
 
 def _as_records(data):
-    """(k, 3) float records: positive intensities, fidelities in (0, 1]."""
+    """(k, 3) float records: 0 < mu_in <= mu_out, fidelities in (0, 1]."""
     big = np.finfo(float).max
-    return _check_array("(mu_in, mu_out, fidelity) records", data,
-                        math.ulp(0.0), (big, big, 1.0), (None, 3))
+    arr = _check_array("(mu_in, mu_out, fidelity) records", data,
+                       math.ulp(0.0), (big, big, 1.0), (None, 3))
+    _check_array("mu_out", arr[:, 1], arr[:, 0])
+    return arr
 
 
 def fit_q(data):

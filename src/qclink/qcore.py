@@ -10,7 +10,7 @@ test helpers in tests/pair_oracle.py.
 
 import numpy as np
 
-from ._checks import check as _check
+from ._checks import check as _check, check_array as _check_array
 
 # Trace, Hermiticity and smallest-eigenvalue tolerance of a density matrix.
 MATRIX_ATOL = 1e-10
@@ -35,11 +35,9 @@ def check_density_matrix(rho):
     Returns the validated array. Tolerance: MATRIX_ATOL = 1e-10 on the
     trace, the Hermiticity and the smallest eigenvalue.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if rho.shape[0] not in (2, 4):
-        raise ValueError(f"unsupported dimension {rho.shape[0]} (need 2 or 4)")
+    rho = _check_array("density matrix", rho, shape=(None, None), dtype=complex)
+    if rho.shape not in ((2, 2), (4, 4)):
+        raise ValueError(f"unsupported dimension {rho.shape}, not 2x2 or 4x4")
     tr = np.trace(rho)
     if abs(tr - 1.0) > MATRIX_ATOL:
         raise ValueError(f"trace {tr!r} is not 1 within {MATRIX_ATOL}")
@@ -53,9 +51,7 @@ def check_density_matrix(rho):
 
 def partial_transpose(rho):
     """Transpose the second qubit of a two-qubit operator."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"partial transpose needs a 4x4 matrix, got {rho.shape}")
+    rho = _check_array("two-qubit operator", rho, shape=(4, 4), dtype=complex)
     if not is_hermitian(rho):
         raise ValueError("partial transpose expects a Hermitian input")
     return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
@@ -69,8 +65,6 @@ def is_entangled(rho):
     and sufficient in dimension 2x2.
     """
     rho = check_density_matrix(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("entanglement test is defined for two qubits")
     lo = float(np.linalg.eigvalsh(partial_transpose(rho))[0])
     return lo < -PPT_MARGIN, lo
 
@@ -84,7 +78,6 @@ def werner(p):
 
 def singlet_fidelity(rho):
     """Overlap <Phi+|rho|Phi+> of a two-qubit state with the target pair."""
+    rho = _check_array("two-qubit state", rho, shape=(4, 4), dtype=complex)
     rho = check_density_matrix(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("singlet fidelity is defined for two qubits")
     return float(np.real(PHI_PLUS.conj() @ rho @ PHI_PLUS))

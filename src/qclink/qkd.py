@@ -10,7 +10,7 @@ measurement on her conditional probe states. The module derives the
 post-sifting classical distribution P(A, B, E), the mutual informations,
 and the critical disturbances for one-way key extraction, CHSH violation
 and entanglement. It also holds the package's one binary entropy: h2
-on finite arrays, which distill reads, and binary_entropy on one checked
+on probabilities, which distill reads, and binary_entropy on one checked
 probability. Both the pair state's criteria and Eve's symbol tables are
 closed forms in the four Bell weights, so no density matrix is built and
 no measurement is diagonalised: each of her probes lies in a
@@ -36,6 +36,8 @@ EVE_MEASUREMENTS = (HELSTROM_BINARY, SQUARE_ROOT_4)
 # Tr(B sigma_i x sigma_i) for i = x, y, z (rows) and each Bell state B.
 _BELL_CORRELATIONS = np.array([[1, -1, 1, -1], [-1, 1, 1, -1],
                                [1, 1, -1, -1]])
+
+PROB_ATOL = 1e-12  # rounding past 0 or 1: the table sum test, h2's band
 
 # Eve's registers (p, q) that carry her probe for outcome pairs of parity
 # a ^ b = 0 and 1.
@@ -67,7 +69,7 @@ class SymbolDistribution:
         t = _check_array("symbol table", self.table, 0.0, 1.0, (2, 2, None))
         if t.shape[2] not in (2, 4):
             raise ValueError(f"expected table of shape (2, 2, 2|4), got {t.shape}")
-        if abs(t.sum() - 1.0) > 1e-12:
+        if abs(t.sum() - 1.0) > PROB_ATOL:
             raise ValueError(f"symbol table sums to {t.sum()!r}, not 1")
         pa = t.sum(axis=(1, 2))
         if np.max(np.abs(pa - 0.5)) > 1e-10:
@@ -131,9 +133,10 @@ def error_rate(dist):
 
 
 def h2(p):
-    """Binary entropy in bits of each entry of p, clipped into [0, 1],
-    with the 0 log 0 = 0 convention. Entries must be finite."""
-    p = np.clip(_check_array("probability", p, shape=np.shape(p)), 0.0, 1.0)
+    """Binary entropy in bits of each entry of p, with 0 log 0 = 0. Entries
+    must lie within PROB_ATOL of [0, 1], and are clipped into [0, 1]."""
+    p = np.clip(_check_array("probability", p, -PROB_ATOL, 1.0 + PROB_ATOL,
+                             np.shape(p)), 0.0, 1.0)
     out = np.zeros_like(p)
     inner = (p > 0.0) & (p < 1.0)
     pi = p[inner]

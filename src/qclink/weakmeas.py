@@ -81,9 +81,7 @@ def jones_elliptical(theta, phi):
 
 
 def _unit_jones(jones):
-    v = np.asarray(jones, dtype=complex)
-    if v.shape != (2,):
-        raise ValueError(f"Jones vector must have two components, got {v.shape}")
+    v = _check_array("Jones vector", jones, shape=(2,), dtype=complex)
     norm = np.linalg.norm(v)
     _check("Jones vector norm", norm, 1e-12)
     return v / norm
@@ -150,16 +148,15 @@ class PropagatedField:
         self.t_c = float(_check("pulse width", t_c, math.ulp(0.0)))
         # Read-only copies: the integrals below are cached per field.
         self.delays = _check_array("delays", delays).copy()
-        self.amps = np.array(amps, dtype=complex).reshape(-1, 2)
+        self.amps = _check_array("amplitudes", amps,
+                                 shape=(self.delays.size, 2),
+                                 dtype=complex).copy()
         self.delays.flags.writeable = self.amps.flags.writeable = False
-        if self.delays.shape[0] != self.amps.shape[0]:
-            raise ValueError("delays and amplitudes differ in length")
         # A finite spread keeps every delay difference in _trapezoid finite;
         # in Python floats it overflows to inf without a warning.
         spread = (float(self.delays.max()) - float(self.delays.min())
                   if self.delays.size else 0.0)
-        if not (math.isfinite(spread) and np.isfinite(self.amps).all()):
-            raise ValueError("delay spread and amplitudes must be finite")
+        _check("delay spread", spread)
 
     def sample(self, t):
         """Complex field components on a time grid, shape (len(t), 2).

@@ -113,6 +113,26 @@ class TestCheckArray:
         with pytest.raises(ValueError, match="x must be an array of floats"):
             check_array("x", value)
 
+    def test_complex_returns_complex128(self):
+        arr = check_array("x", [1, 2j], shape=(2,), dtype=complex)
+        assert arr.dtype == np.complex128 and arr.tolist() == [1, 2j]
+
+    @pytest.mark.parametrize("value, message", [
+        ([1.0, complex(0.0, np.nan)], "x must be finite, got nan"),
+        ([complex(0.5, 2.0), complex(0.7, 0.0)],
+         "x must lie in [0.0, 1.0], got 2.0"),
+        ([complex(0.5, 0.0), complex(0.7, -np.inf)],
+         "x must be finite, got -inf")])
+    def test_complex_parts_pass_the_float_test(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_array("x", value, 0.0, 1.0, dtype=complex)
+
+    @pytest.mark.parametrize("value", ["abc", {}, [[1.0], [1.0, 2.0]]])
+    def test_non_complex_input_is_value_error(self, value):
+        with pytest.raises(ValueError,
+                           match="x must be an array of complex numbers"):
+            check_array("x", value, dtype=complex)
+
 
 DIST = qkd.symbol_distribution(qkd.AttackParams(0.1))
 
@@ -164,17 +184,30 @@ FIELD_AMPS = [[1.0, 0.0], [0.0, 1.0]]
     lambda: wm.PropagatedField(1.0, [[0.0], [1.0]], FIELD_AMPS).mean_toa(),
     lambda: wm.PropagatedField(1.0, 0.0, [1.0, 0.0]).mean_toa(),
     lambda: wm.PropagatedField(1.0, [0.0, math.nan], FIELD_AMPS),
+    lambda: wm.PropagatedField(1.0, [0.0, 1.0], [1, 0, 0, 1]),
+    lambda: wm.PropagatedField(1.0, [0.0], np.ones((1, 1, 2))),
+    lambda: wm.PropagatedField(1.0, [0.0, 1.0], [[1.0, 0.0], [math.nan, 0]]),
+    lambda: wm.weak_value([1.0, 0.0, 0.0], wm.PmdElement(0.5)),
     lambda: cloning.generate_fidelity_dataset(0.8, 1.0),
     lambda: cloning.generate_fidelity_dataset(0.8, [[1.0, 2.0]]),
     lambda: cloning.generate_fidelity_dataset(0.8, [1.0, math.nan]),
     lambda: qkd.h2(np.array([math.nan, 0.5])),
-    lambda: qkd.h2(np.array([[0.5, math.inf]]))],
+    lambda: qkd.h2(np.array([[0.5, math.inf]])),
+    lambda: qkd.h2([1.2, -0.1])],
     ids=["sweep-0d", "sweep-2d", "sweep-nan", "peaks-lengths", "peaks-2d",
-         "peaks-0d", "field-2d", "field-0d", "field-nan", "dataset-0d",
-         "dataset-2d", "dataset-nan", "h2-nan", "h2-inf"])
+         "peaks-0d", "field-2d", "field-0d", "field-nan", "amps-flat",
+         "amps-3d", "amps-nan", "jones-3", "dataset-0d", "dataset-2d",
+         "dataset-nan", "h2-nan", "h2-inf", "h2-out-of-range"])
 def test_array_entry_points_raise_value_error(call):
-    """A 0-d or 2-D grid, intensities of another length than their times
-    and a NaN entry raise ValueError, where they used to raise TypeError
-    or IndexError, return 0.0, or read NaN as zero bits."""
+    """A 0-d or 2-D grid, intensities of another length than their times,
+    amplitudes of another shape than (delays, 2), a 3-vector Jones input,
+    a NaN entry and a probability outside [0, 1] raise ValueError, where
+    they used to raise TypeError or IndexError, return 0.0, reshape the
+    amplitudes into other terms, or read NaN or 1.2 as zero bits."""
     with pytest.raises(ValueError):
         call()
+
+
+def test_h2_admits_rounding_past_zero_and_one():
+    p = [1 + 1e-16, math.nextafter(1.0, 2.0), -1e-16]
+    assert qkd.h2(p).tolist() == [0.0, 0.0, 0.0]

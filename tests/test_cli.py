@@ -252,6 +252,27 @@ class TestExitCodes:
         assert code == 1 and not csv_path.exists()
         assert "finite" in capsys.readouterr().err
 
+    def test_loss_record_is_one(self, tmp_path, capsys):
+        path = tmp_path / "rec.csv"
+        path.write_text("mu_in,mu_out,fidelity\n1,0.5,0.9\n2,1,0.95\n"
+                        "3,1.5,0.97\n")
+        code, csv_path, _ = run_cli(["clone", "fit", "--input", str(path)],
+                                    tmp_path, "clone-fit-0")
+        assert code == 1 and not csv_path.exists()
+        assert "mu_out must lie in [1.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["qkd", "sweep", "--d-min", "0.3", "--d-max", "0.2"],
+        ["distill", "equivalence", "--d-min", "0.3", "--d-max", "0.2"],
+        ["weak", "sweep", "--ratio-min", "2", "--ratio-max", "2"]],
+        ids=["qkd-sweep", "distill-equivalence", "weak-sweep"])
+    def test_reversed_range_is_one(self, tmp_path, args):
+        code, csv_path, json_path = run_cli(
+            args, tmp_path, "-".join(args[:2]) + "-0")
+        assert code == 1 and not csv_path.exists()
+        error = strict_json(json_path)["error"]
+        assert args[2] in error and args[4] in error
+
     @pytest.mark.parametrize("args, name", [
         (["weak", "sweep", "--pdl-axis", "nan"], "axis"),
         (["weak", "toa", "--dtau", "0.5", "--theta-pre", "nan"], "theta")])

@@ -255,6 +255,15 @@ class TestFitQ:
         with pytest.raises(ValueError, match="overflows"):
             cloning.fit_q(data)
 
+    def test_loss_record_rejected_like_the_law(self):
+        """Rows with mu_out < mu_in, which fidelity_classical rejects, used
+        to be fitted: these gave q_hat ~ 1.0."""
+        with pytest.raises(ValueError) as law:
+            cloning.fidelity_classical(1.0, 0.5, 0.9)
+        with pytest.raises(ValueError) as fit:
+            cloning.fit_q([[1, 0.5, 0.9], [2, 1, 0.95], [3, 1.5, 0.97]])
+        assert str(fit.value) == str(law.value)
+
     def test_too_few_records(self):
         data = cloning.generate_fidelity_dataset(0.8, [1.0, 2.0])
         with pytest.raises(ValueError):

@@ -279,7 +279,7 @@ class TestHelstrom:
         (np.eye(2), "trace"),
         (np.array([[0.5, 0.5], [0.0, 0.5]]), "Hermitian"),
         (np.diag([1.5, -0.5]), "eigenvalue"),
-        (np.full((2, 2), np.nan), "Hermitian"),
+        (np.full((2, 2), np.nan), "finite"),
         (np.eye(3) / 3, "dimension")])
     def test_invalid_states_rejected(self, bad, message):
         """A trace-2 state once gave success probability 1.0."""

@@ -809,9 +809,9 @@ class TestTransitionSweep:
 
     def test_pulse_is_not_a_jones_vector(self):
         """The sweep's pulse width is t_c; a pulse of another width used
-        to be swept at t_c without a word."""
+        to be swept at t_c without a word, and then raised TypeError."""
         pulse = wm.PolarizedPulse(2.0, wm.jones_linear(0.3))
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="Jones vector"):
             wm.toa_transition_sweep(pulse, wm.analyzer(1.0), [0.5, 1.0], TC)
 
     def test_peak_separation_regimes(self):
