@@ -244,6 +244,12 @@ def ad_monte_carlo(dist, n, trials, seed=0):
     m = np.arange(2)[:, None]
     logq = np.array([[logt[m ^ c_hyp, m ^ c_hyp ^ k].ravel()
                       for k in (0, 1)] for c_hyp in (0, 1)])
+    # Symbol i under secret bit c is announced-and-deXORed as
+    # code_of[c, i] = ((i // 2ne) ^ c) ne + i % ne; folded into logq, a
+    # drawn symbol reads its log-likelihood at i + 4ne c.
+    i = np.arange(4 * ne)
+    code_of = ((i // (2 * ne)) ^ m) * ne + i % ne
+    logq = logq[:, :, code_of.ravel()]
     chunk = max(MC_CHUNK_SYMBOLS // n, 1)
     n_acc = n_wrong = 0
     h = np.empty(trials)  # Eve's entropy of each accepted block
@@ -251,14 +257,14 @@ def ad_monte_carlo(dist, n, trials, seed=0):
         rows = min(chunk, trials - lo)
         u = rng.random((rows, n))
         c = bits.integers(0, 2, size=rows)
-        n_err = ((err_lo <= u) & (u < err_hi)).sum(axis=1)
+        n_err = np.count_nonzero((err_lo <= u) & (u < err_hi), axis=1)
         accept = (n_err == 0) | (n_err == n)
-        start, n_acc = n_acc, n_acc + int(accept.sum())
-        n_wrong += int((n_err == n).sum())
+        start, n_acc = n_acc, n_acc + int(np.count_nonzero(accept))
+        n_wrong += int(np.count_nonzero(n_err == n))
 
         # Eve's posterior for each accepted block from the known model.
-        idx = cdf.searchsorted(u[accept], side="right")
-        code = ((idx // (2 * ne)) ^ c[accept, None]) * ne + idx % ne
+        code = cdf.searchsorted(u[accept], side="right")
+        code += 4 * ne * c[accept, None]
         logw = np.empty((2, 2, code.shape[0]))
         for c_hyp in (0, 1):
             for k in (0, 1):

@@ -74,6 +74,9 @@ class SymbolDistribution:
         pa = t.sum(axis=(1, 2))
         if np.max(np.abs(pa - 0.5)) > 1e-10:
             raise ValueError(f"sender marginal {pa} is not uniform")
+        # A read-only copy: check_array may return the caller's own array.
+        t = t.copy()
+        t.flags.writeable = False
         object.__setattr__(self, "table", t)
 
     @property

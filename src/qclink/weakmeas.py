@@ -84,7 +84,9 @@ def _unit_jones(jones):
     v = _check_array("Jones vector", jones, shape=(2,), dtype=complex)
     norm = np.linalg.norm(v)
     _check("Jones vector norm", norm, 1e-12)
-    return v / norm
+    v = v / norm
+    v.flags.writeable = False  # a frozen pulse keeps the checked vector
+    return v
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,12 @@
 """Tests for copying fidelities, the birth-chain simulation and the fit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import poisson
 
+import fit_oracle
 from fidelity_records import save_fidelity_csv
 from qclink import cloning
 
@@ -268,6 +271,30 @@ class TestFitQ:
         data = cloning.generate_fidelity_dataset(0.8, [1.0, 2.0])
         with pytest.raises(ValueError):
             cloning.fit_q(data)
+
+    def test_grid_blocks_match_point_by_point_scan(self):
+        """1000 records hold 16 grid points a block: the grid takes seven,
+        the last one short."""
+        data = cloning.generate_fidelity_dataset(
+            0.6, np.geomspace(0.01, 100.0, 1000), noise_sigma=0.01, seed=7)
+        per_block = cloning.FIT_BLOCK // 1000
+        assert per_block < 101 and 101 % per_block  # a short last block
+        assert cloning.fit_q(data) == fit_oracle.fit_q(data)
+
+    def test_grid_memory_is_per_block(self):
+        """200 000 records: an unblocked (101, k) grid would take about
+        160 MB per temporary; one grid point a block stays near the
+        records' own 4.8 MB and their contiguous copy."""
+        mu_in = np.geomspace(0.5, 50.0, 200_000)
+        fid = np.random.default_rng(2).uniform(0.5, 1.0, mu_in.size)
+        data = np.column_stack([mu_in, 10.0 * mu_in, fid])
+        tracemalloc.start()
+        try:
+            cloning.fit_q(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_grid_argmin_is_global(self):
         """The refined minimum never exceeds any coarse-grid value."""

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import fit_oracle
 from eve_tables import BASES, eigen_table
 from pair_oracle import bell_diagonal, chsh_max, recurrence_explicit
 from qclink import cli, cloning, distill, qcore, qkd
@@ -175,6 +177,24 @@ def test_fit_recovers_quality_from_noiseless_records(q, mu_in):
     returns the midpoint, so the true Q lies within 1e-6."""
     q_hat, _ = cloning.fit_q(cloning.generate_fidelity_dataset(q, mu_in))
     assert abs(q_hat - q) <= 1e-6
+
+
+@PROPERTY
+@pytest.mark.filterwarnings("ignore:all records share one mu_in")
+@given(st.floats(0.0, 1.0), st.integers(3, 400).flatmap(lambda k: st.tuples(
+    hnp.arrays(float, k, elements=st.floats(1e-3, 1e3)),
+    hnp.arrays(float, k, elements=st.floats(1.0, 1e3)),
+    hnp.arrays(float, k, elements=st.floats(-0.05, 0.05)))))
+def test_fit_q_matches_point_by_point_scan(q, records):
+    """The grid scored in array blocks gives the bits of the scan that
+    scores one grid point at a time, on records with mu_out >= mu_in and
+    fidelities off the law at q by up to 0.05."""
+    mu_in, gain, noise = records
+    mu_out = mu_in * gain
+    core = q * mu_out * mu_in
+    law = (core + mu_out + mu_in) / (core + 2.0 * mu_out)
+    data = np.column_stack([mu_in, mu_out, np.clip(law + noise, 1e-9, 1.0)])
+    assert cloning.fit_q(data) == fit_oracle.fit_q(data)
 
 
 # Values for flags whose spec carries no interval: the edges of the

@@ -125,6 +125,16 @@ class TestSymbolDistribution:
         with pytest.raises(ValueError, match="symbol table must be finite"):
             qkd.SymbolDistribution(table)
 
+    def test_table_is_a_read_only_copy(self):
+        """A later write to the caller's array used to change the
+        validated, frozen table: d.table was the caller's array."""
+        table = np.full((2, 2, 2), 0.125)
+        dist = qkd.SymbolDistribution(table)
+        table[0, 0, 0] = 7.0
+        assert dist.table.sum() == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            dist.table[0, 0, 0] = 7.0
+
     @pytest.mark.parametrize("basis", BASES)
     def test_no_attack_binary_table_is_exact(self, basis):
         """Eve's two probes in each block coincide, so the whole block

@@ -73,6 +73,13 @@ class TestElements:
         p = wm.PolarizedPulse(2.0, [3.0, 4.0])
         assert np.linalg.norm(p.jones) == pytest.approx(1.0, abs=1e-15)
 
+    def test_pulse_jones_is_read_only(self):
+        """A write used to leave a pulse of norm 5 that propagate and
+        mean_toa_closed took past the unit-norm check."""
+        p = wm.PolarizedPulse(1.0, [1, 0])
+        with pytest.raises(ValueError, match="read-only"):
+            p.jones[0] = 5
+
     def test_pulse_width_positive(self):
         with pytest.raises(ValueError):
             wm.PolarizedPulse(0.0, [1, 0])
