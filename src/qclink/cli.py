@@ -85,9 +85,12 @@ _PULSE_FLAGS = {"tc": (float, 1.0), "theta-pre": (float, np.pi / 4),
 _PULSE_COLUMNS = [name.replace("-", "_") for name in _PULSE_FLAGS]
 
 
+def _pre(params):
+    return wm.jones_elliptical(params["theta-pre"], params["phi-pre"])
+
+
 def _pulse(params):
-    return wm.PolarizedPulse(params["tc"], wm.jones_elliptical(
-        params["theta-pre"], params["phi-pre"]))
+    return wm.PolarizedPulse(params["tc"], _pre(params))
 
 
 def _post_element(params):
@@ -203,8 +206,7 @@ def cmd_weak_toa(params, seed):
     post = _post_element(params)
     closed = wm.mean_toa_closed(pulse, pmd, post)
     numeric = wm.propagate(pulse, [pmd, post]).mean_toa()
-    weak = wm.weak_value(wm.jones_elliptical(params["theta-pre"],
-                                             params["phi-pre"]), pmd, post)
+    weak = wm.weak_value(_pre(params), pmd, post)
     rows = [[params["dtau"], *(params[k] for k in _PULSE_FLAGS), closed,
              numeric, weak]]
     return (["dtau", *_PULSE_COLUMNS, "toa_closed", "toa_numeric",
@@ -218,7 +220,7 @@ def cmd_weak_sweep(params, seed):
     if not lo < hi:
         raise ValueError("parameters --ratio-min/--ratio-max must satisfy "
                          "min < max")
-    pre = wm.jones_elliptical(params["theta-pre"], params["phi-pre"])
+    pre = _pre(params)
     _check("pulse width", t_c, math.ulp(0.0))
     post = _post_element(params)
     # The grid's top delay in Python floats, where overflow gives inf

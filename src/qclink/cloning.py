@@ -15,13 +15,14 @@ The gain process itself is simulated as a birth chain: each new photon
 joins mode k with probability proportional to n_k + 1, the stimulated
 plus spontaneous emission weights. A Poisson mixture over input photon
 number and a least-squares recovery of Q from fidelity-vs-intensity
-records round out the analysis tools. The fit scores its whole Q grid
-in one array pass, in (points, k) blocks of at most FIT_BLOCK residuals
-(one grid point a block once k exceeds it), so besides a contiguous
-copy of the records its temporaries stay within 128 kB or one row of k
-floats. The Monte Carlo birth chain holds about 34 bytes per trial and
-refuses more than BIRTH_MAX_TRIALS trials or BIRTH_MAX_TRIAL_STEPS
-trial-steps.
+records round out the analysis tools. Synthetic records take the law
+over their whole array at once, as fidelity_classical takes it for one
+record. The fit scores its whole Q grid in one array pass, in (points,
+k) blocks of at most FIT_BLOCK residuals (one grid point a block once k
+exceeds it), so besides a contiguous copy of the records its
+temporaries stay within 128 kB or one row of k floats. The Monte Carlo
+birth chain holds about 34 bytes per trial and refuses more than
+BIRTH_MAX_TRIALS trials or BIRTH_MAX_TRIAL_STEPS trial-steps.
 """
 
 import csv
@@ -213,14 +214,20 @@ def fit_q(data):
 def generate_fidelity_dataset(q, mu_in, gain=10.0, noise_sigma=0.0, seed=0):
     """Synthetic (mu_in, mu_out, fidelity) records from the amplifier law.
 
-    mu_in is a 1-D array of positive intensities, mu_out = gain * mu_in;
-    optional additive Gaussian noise on the fidelities, clipped into (0, 1].
+    mu_in is a 1-D array of positive intensities, mu_out = gain * mu_in
+    with gain >= 1; optional additive Gaussian noise on the fidelities,
+    clipped into (0, 1]. The law is evaluated over the whole array in
+    one pass, each record bit for bit as fidelity_classical gives it.
     """
     _check("noise sigma", noise_sigma, 0.0)
     seed = _check("seed", seed, 0, math.inf, integer=True)
+    _check("quality", q, 0.0, 1.0)
+    _check("gain", gain, 1.0)
     mu_in = _check_array("mu_in", mu_in, math.ulp(0.0))
-    mu_out = gain * mu_in
-    fid = np.array([fidelity_classical(a, b, q) for a, b in zip(mu_in, mu_out)])
+    with np.errstate(over="ignore"):  # _checked_law_terms rejects inf
+        mu_out = gain * mu_in
+    num, den = _checked_law_terms(mu_in, mu_out, q)
+    fid = num / den
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         fid = fid + rng.normal(0.0, noise_sigma, size=fid.shape)

@@ -45,8 +45,9 @@ import numpy as np
 
 from . import qcore
 from ._checks import check as _check, check_array as _check_array
-from .qkd import (HELSTROM_BINARY, AttackParams, binary_entropy, error_rate,
-                  h2, mutual_information, pair_criteria, symbol_distribution)
+from .qkd import (HELSTROM_BINARY, PROB_ATOL, AttackParams, _check_eve,
+                  error_rate, h2, mutual_information, pair_criteria,
+                  symbol_distribution)
 
 MAX_BLOCK = 64
 # Smallest block advantage counted as real. Near the critical disturbance
@@ -292,7 +293,7 @@ def ad_monte_carlo(dist, n, trials, seed=0):
 
     return AdMonteCarloOutcome(
         block_size=n, p_accept=p_acc, eps_post=eps_post,
-        i_ab=1.0 - binary_entropy(eps_post), i_ae=i_ae,
+        i_ab=1.0 - float(h2(eps_post)), i_ae=i_ae,
         se_p_accept=float(se_p_acc), se_eps_post=float(se_eps_post),
         se_i_ae=se_i_ae, trials=trials, accepted=n_acc)
 
@@ -340,11 +341,11 @@ def recurrence_weights(weights):
     lam' = (lam_0^2 + lam_1^2, 2 lam_0 lam_1, lam_2^2 + lam_3^2,
     2 lam_2 lam_3) / N with success probability
     N = (lam_0 + lam_1)^2 + (lam_2 + lam_3)^2. The four weights must lie
-    in [0, 1] and sum to 1, within qcore.WEIGHT_ATOL. Returns (lam', N).
+    in [0, 1] and sum to 1, within qkd.PROB_ATOL. Returns (lam', N).
     """
-    w = _check_array("Bell weights", weights, -qcore.WEIGHT_ATOL,
-                     1.0 + qcore.WEIGHT_ATOL, (4,))
-    if abs(w.sum() - 1.0) > qcore.WEIGHT_ATOL:
+    w = _check_array("Bell weights", weights, -PROB_ATOL, 1.0 + PROB_ATOL,
+                     (4,))
+    if abs(w.sum() - 1.0) > PROB_ATOL:
         raise ValueError(f"Bell weights sum to {w.sum()!r}, not 1")
     l0, l1, l2, l3 = np.clip(w, 0.0, None)
     n = (l0 + l1) ** 2 + (l2 + l3) ** 2
@@ -371,8 +372,12 @@ def equivalence_sweep(d_grid, n_max=30, eve_measurement=HELSTROM_BINARY):
     CHSH value and singlet fidelity (closed forms, qkd.pair_criteria), the
     one-copy informations and the smallest distillable block size.
     n_max=None skips the block scan and leaves ad_min_block None."""
+    grid = _check_array("disturbance", d_grid, 0.0, 0.5).tolist()
+    if n_max is not None:
+        _check("n_max", n_max, 1, MAX_BLOCK, integer=True)
+    _check_eve(eve_measurement)
     rows = []
-    for d in _check_array("disturbance", d_grid, 0.0, 0.5).tolist():
+    for d in grid:
         dist = symbol_distribution(
             AttackParams(d, eve_measurement=eve_measurement))
         lo, chsh, fidelity = pair_criteria(d)

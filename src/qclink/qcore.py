@@ -14,19 +14,16 @@ from ._checks import check as _check, check_array as _check_array
 
 # Trace, Hermiticity and smallest-eigenvalue tolerance of a density matrix.
 MATRIX_ATOL = 1e-10
-WEIGHT_ATOL = 1e-12  # Bell weights: nonnegative and summing to 1
 PPT_MARGIN = 1e-9  # entangled: partial-transpose eigenvalue below -margin
 
 # The target pair (|00> + |11>) / sqrt(2).
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
-def is_hermitian(m):
-    """True iff m is a finite square matrix, Hermitian within MATRIX_ATOL.
-    Finiteness is tested first, so no inf - inf is ever formed."""
-    m = np.asarray(m)
-    return (m.ndim == 2 and m.shape[0] == m.shape[1] and np.isfinite(m).all()
-            and np.max(np.abs(m - m.conj().T)) <= MATRIX_ATOL)
+def _is_hermitian(m):
+    """True iff m, a finite square matrix from check_array, is Hermitian
+    within MATRIX_ATOL."""
+    return np.max(np.abs(m - m.conj().T)) <= MATRIX_ATOL
 
 
 def check_density_matrix(rho):
@@ -41,7 +38,7 @@ def check_density_matrix(rho):
     tr = np.trace(rho)
     if abs(tr - 1.0) > MATRIX_ATOL:
         raise ValueError(f"trace {tr!r} is not 1 within {MATRIX_ATOL}")
-    if not is_hermitian(rho):
+    if not _is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian within 1e-10")
     lo = np.linalg.eigvalsh(rho)[0]
     if lo < -MATRIX_ATOL:
@@ -52,7 +49,7 @@ def check_density_matrix(rho):
 def partial_transpose(rho):
     """Transpose the second qubit of a two-qubit operator."""
     rho = _check_array("two-qubit operator", rho, shape=(4, 4), dtype=complex)
-    if not is_hermitian(rho):
+    if not _is_hermitian(rho):
         raise ValueError("partial transpose expects a Hermitian input")
     return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 

@@ -9,11 +9,10 @@ she measures each probe individually, either with the optimal binary
 measurement on her conditional probe states. The module derives the
 post-sifting classical distribution P(A, B, E), the mutual informations,
 and the critical disturbances for one-way key extraction, CHSH violation
-and entanglement. It also holds the package's one binary entropy: h2
-on probabilities, which distill reads, and binary_entropy on one checked
-probability. Both the pair state's criteria and Eve's symbol tables are
-closed forms in the four Bell weights, so no density matrix is built and
-no measurement is diagonalised: each of her probes lies in a
+and entanglement. It also holds the package's one binary entropy, h2,
+which distill reads. Both the pair state's criteria and Eve's symbol
+tables are closed forms in the four Bell weights, so no density matrix
+is built and no measurement is diagonalised: each of her probes lies in a
 two-register parity block, and both measurements project that block on
 (|p> +- |q>) / sqrt(2). The square-root outcome is her guess plus the
 pair parity, so its supports {0, 3} and {1, 2} hold by construction.
@@ -44,6 +43,14 @@ PROB_ATOL = 1e-12  # rounding past 0 or 1: the table sum test, h2's band
 _PARITY_BLOCKS = ((0, 1), (2, 3))
 
 
+def _check_eve(eve_measurement):
+    """Raise ValueError unless eve_measurement is in EVE_MEASUREMENTS."""
+    if eve_measurement not in EVE_MEASUREMENTS:
+        raise ValueError(
+            f"unknown eve_measurement {eve_measurement!r}; "
+            f"choose from {EVE_MEASUREMENTS}")
+
+
 @dataclass(frozen=True)
 class AttackParams:
     """Attack strength D (the error rate it causes) and Eve's measurement."""
@@ -53,10 +60,7 @@ class AttackParams:
 
     def __post_init__(self):
         _check("disturbance", self.disturbance, 0.0, 0.5)
-        if self.eve_measurement not in EVE_MEASUREMENTS:
-            raise ValueError(
-                f"unknown eve_measurement {self.eve_measurement!r}; "
-                f"choose from {EVE_MEASUREMENTS}")
+        _check_eve(self.eve_measurement)
 
 
 @dataclass(frozen=True)
@@ -147,11 +151,6 @@ def h2(p):
     return out
 
 
-def binary_entropy(p):
-    """h2(p) of one probability p in [0, 1], as a float."""
-    return float(h2(_check("probability", float(p), 0.0, 1.0)))
-
-
 def _entropy(p):
     p = p[p > 0.0]
     return float(-(p * np.log2(p)).sum())
@@ -186,6 +185,7 @@ def threshold(kind, tol=1e-6, eve_measurement=HELSTROM_BINARY):
     if kind not in THRESHOLD_KINDS:
         raise ValueError(f"kind must be one of {THRESHOLD_KINDS}, got {kind!r}")
     _check("tolerance", tol, 1e-6, math.nextafter(0.5, 0.0))
+    _check_eve(eve_measurement)  # unused by "chsh" and "entanglement"
 
     if kind == "one_way":
         def f(d):

@@ -6,7 +6,8 @@ polarization modes) splits the field on its eigenmodes, slow mode
 arriving at +dtau/2 and fast at -dtau/2. A loss element attenuates the
 polarization component orthogonal to its axis by gamma_db decibels
 (amplitude factor 10^(-gamma_db/20)); infinite attenuation acts as a
-projector, i.e. post-selection of a pure polarization.
+projector, i.e. post-selection of a pure polarization. Jones vectors and
+the elements' mode vectors and matrices are complex128 throughout.
 
 For a Gaussian envelope exp(-t^2 / (2 t_c^2)) the mean time of arrival
 after one delay element and one post element has the closed form
@@ -20,8 +21,8 @@ dtau -> 0 limit is the two-state pointer-shift prediction
     <t>_weak = (dtau/2) Re <psi| Pi sigma |psi> / <psi| Pi |psi>,
 
 Pi = K^dag K the post-selection operator and sigma the +1/-1 operator
-on the delay eigenmodes. The field's numeric integrals below are the
-independent cross-check for both.
+on the delay eigenmodes. The field's numeric integral,
+PropagatedField.mean_toa, is the independent cross-check for both.
 
 A chain of elements leaves a field E(t) = sum_j a_j exp(-(t-d_j)^2/(2 t_c^2)),
 one term per path through its delay sections, except that terms whose
@@ -69,8 +70,7 @@ BLOCKED_FRACTION = 1e-12
 
 def jones_linear(theta):
     """Unit Jones vector of linear polarization at angle theta."""
-    _check("angle theta", theta)
-    return np.array([np.cos(theta), np.sin(theta)], dtype=complex)
+    return jones_elliptical(theta, 0.0)
 
 
 def jones_elliptical(theta, phi):
@@ -113,9 +113,9 @@ class PmdElement:
         _check("angle axis", self.axis)
 
     def slow_fast(self):
-        s = np.array([np.cos(self.axis), np.sin(self.axis)])
-        f = np.array([-np.sin(self.axis), np.cos(self.axis)])
-        return s, f
+        c, s = np.cos(self.axis), np.sin(self.axis)
+        return (np.array([c, s], dtype=complex),
+                np.array([-s, c], dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -129,13 +129,11 @@ class PdlElement:
         _check("attenuation", self.gamma_db, 0.0, math.inf)
         _check("angle axis", self.axis)
 
-    def amplitude_transmission(self):
-        return 10.0 ** (-self.gamma_db / 20.0)
-
     def jones_matrix(self):
         c, s = np.cos(self.axis), np.sin(self.axis)
         rot = np.array([[c, -s], [s, c]])
-        return rot @ np.diag([1.0, self.amplitude_transmission()]) @ rot.T
+        t = 10.0 ** (-self.gamma_db / 20.0)  # amplitude transmission
+        return (rot @ np.diag([1.0, t]) @ rot.T).astype(complex)
 
 
 def analyzer(theta):
@@ -231,9 +229,11 @@ class PropagatedField:
         return float(QUAD_STEP * sum(self._moments[1]) * self.t_c)
 
     def mean_toa(self):
-        """Intensity-weighted mean arrival time, on the trapezoid grid:
-        the clusters' first delays weighted by their energy shares, plus
-        t_c times the mean node offset."""
+        """Mean arrival time of the total detected intensity, on the
+        trapezoid grid: the clusters' first delays weighted by their
+        energy shares, plus t_c times the mean node offset. The detector
+        integrates both polarization components; pass the field through
+        an analyzer first to model a polarization-resolved detector."""
         starts, energy, first = self._moments
         total = sum(energy)
         if QUAD_STEP * total > BLOCKED_FRACTION * np.sqrt(np.pi):
@@ -275,7 +275,7 @@ def propagate(pulse, elements):
     with np.errstate(over="ignore"):
         for element in elements:
             if isinstance(element, PmdElement):
-                slow, fast = (m.astype(complex) for m in element.slow_fast())
+                slow, fast = element.slow_fast()
                 half = element.delta_tau / 2.0
                 # Slow-mode terms at +half first, then fast at -half.
                 delays, amps = _merge_coincident(
@@ -283,7 +283,7 @@ def propagate(pulse, elements):
                     np.concatenate([(amps @ slow)[:, None] * slow,
                                     (amps @ fast)[:, None] * fast]))
             elif isinstance(element, PdlElement):
-                amps = amps @ element.jones_matrix().T.astype(complex)
+                amps = amps @ element.jones_matrix().T
             else:
                 raise ValueError(f"unknown element {element!r}")
             keep = amps.any(axis=1)
@@ -314,21 +314,6 @@ def default_time_grid(field, step=None, span=None):
     return np.linspace(-half * step, half * step, 2 * half + 1)
 
 
-def mean_toa_numeric(field):
-    """Mean arrival time of the total detected intensity: field.mean_toa().
-
-    The detector integrates both polarization components; pass the field
-    through an analyzer first to model a polarization-resolved detector.
-    """
-    return field.mean_toa()
-
-
-def _post_operator(post):
-    if post is None:
-        return np.eye(2, dtype=complex)
-    return post.jones_matrix().astype(complex)
-
-
 _BLOCKED = "no transmitted energy: post-selection blocks the pulse"
 _ORTHOGONAL = ("post-selection is (nearly) orthogonal to the input; "
                "the weak-value prediction diverges")
@@ -347,11 +332,11 @@ def _section_terms(jones, pmd, post):
     Re<psi|Pi sigma|psi> and <psi|Pi|psi> of the weak value. Only the
     axis of pmd enters."""
     slow, fast = pmd.slow_fast()
-    k = _post_operator(post)
-    a = (jones @ slow.astype(complex)) * (k @ slow.astype(complex))
-    b = (jones @ fast.astype(complex)) * (k @ fast.astype(complex))
+    k = np.eye(2, dtype=complex) if post is None else post.jones_matrix()
+    a = (jones @ slow) * (k @ slow)
+    b = (jones @ fast) * (k @ fast)
     pi = k.conj().T @ k
-    sigma = (np.outer(slow, slow) - np.outer(fast, fast)).astype(complex)
+    sigma = np.outer(slow, slow) - np.outer(fast, fast)
     return (float(np.vdot(a, a).real), float(np.vdot(b, b).real),
             2.0 * float(np.vdot(a, b).real),
             float(np.real(jones.conj() @ pi @ sigma @ jones)),
@@ -441,12 +426,12 @@ def toa_transition_sweep(pre, post, delta_tau_grid, t_c):
     """
     grid = _check_array("delay grid", delta_tau_grid, math.ulp(0.0))
     psi = _unit_jones(pre)
-    if grid.size == 0:
-        return []
     _check("pulse width", t_c, math.ulp(0.0))
     # psi is the vector PolarizedPulse(t_c, pre) and weak_value(pre, ...)
     # use: pre normalised once.
     *terms, num, den = _section_terms(psi, PmdElement(0.0), post)
+    if grid.size == 0:
+        return []
     exact, exact_den = _closed_toa(terms, grid, float(t_c))
     _check_den(exact_den[0], _BLOCKED)
     _check_den(den, _ORTHOGONAL)

@@ -63,7 +63,7 @@ def block_profiles(dist, ranges):
             pi_k[0, j] = (1.0 - eps) ** n / p_acc
             pi_k[1, j] = eps ** n / p_acc
             stats.append(
-                (n, p_acc, eps_post, 1.0 - qkd.binary_entropy(eps_post)))
+                (n, p_acc, eps_post, 1.0 - float(qkd.h2(eps_post))))
         counts, log_multinom, index = count_rows(lo, hi, q.shape[2], supports)
         w = np.zeros((2, counts.shape[0]))
         for c, k, ok in branches:

@@ -10,7 +10,7 @@ on the 16-dimensional state of two pairs.
 
 import numpy as np
 
-from qclink import qcore
+from qclink import qcore, qkd
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -43,7 +43,8 @@ def eig_hermitian(m):
     ValueError for non-Hermitian input.
     """
     m = np.asarray(m, dtype=complex)
-    if not qcore.is_hermitian(m):
+    if not (m.ndim == 2 and m.shape[0] == m.shape[1] and np.isfinite(m).all()
+            and np.max(np.abs(m - m.conj().T)) <= qcore.MATRIX_ATOL):
         raise ValueError("input is not Hermitian within 1e-10")
     vals, vecs = np.linalg.eigh(m)
     return vals, vecs
@@ -69,14 +70,14 @@ def bell_diagonal(weights):
     """Mixture of the four Bell states with the given probabilities.
 
     Order (Phi+, Phi-, Psi+, Psi-). Weights must be nonnegative and sum
-    to 1 within qcore.WEIGHT_ATOL.
+    to 1 within qkd.PROB_ATOL.
     """
     w = np.asarray(weights, dtype=float)
     if w.shape != (4,):
         raise ValueError("need exactly four Bell weights")
-    if not (w >= -qcore.WEIGHT_ATOL).all():
+    if not (w >= -qkd.PROB_ATOL).all():
         raise ValueError(f"negative or NaN Bell weight in {w}")
-    if abs(w.sum() - 1.0) > qcore.WEIGHT_ATOL:
+    if abs(w.sum() - 1.0) > qkd.PROB_ATOL:
         raise ValueError(f"Bell weights sum to {w.sum()!r}, not 1")
     w = np.clip(w, 0.0, None)
     rho = np.zeros((4, 4), dtype=complex)

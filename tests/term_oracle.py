@@ -20,13 +20,13 @@ def propagate_terms(pulse, elements):
         for element in elements:
             if isinstance(element, wm.PmdElement):
                 slow, fast = element.slow_fast()
-                cs = amps @ slow.astype(complex)
-                cf = amps @ fast.astype(complex)
+                cs = amps @ slow
+                cf = amps @ fast
                 delays = np.concatenate([delays + element.delta_tau / 2.0,
                                          delays - element.delta_tau / 2.0])
                 amps = np.vstack([np.outer(cs, slow), np.outer(cf, fast)])
             elif isinstance(element, wm.PdlElement):
-                amps = amps @ element.jones_matrix().T.astype(complex)
+                amps = amps @ element.jones_matrix().T
             else:
                 raise ValueError(f"unknown element {element!r}")
             keep = (np.abs(amps) ** 2).sum(axis=1) > 0.0

@@ -145,15 +145,32 @@ DIST = qkd.symbol_distribution(qkd.AttackParams(0.1))
     lambda: cloning.birth_process_mc(1, 3, trials=math.nan),
     lambda: wm.discrimination_error(math.nan, 1.0),
     lambda: wm.discrimination_error(-1.0, 1.0),
-    lambda: wm.discrimination_error(1.0, 0.0)],
+    lambda: wm.discrimination_error(1.0, 0.0),
+    lambda: wm.toa_transition_sweep(wm.jones_linear(0.1), None, [],
+                                    math.nan),
+    lambda: distill.equivalence_sweep([], n_max=math.nan),
+    lambda: distill.equivalence_sweep([], eve_measurement="bogus"),
+    lambda: distill.equivalence_sweep([], n_max=math.nan,
+                                      eve_measurement="bogus"),
+    lambda: qkd.threshold("entanglement", eve_measurement="bogus"),
+    lambda: qkd.threshold("chsh", eve_measurement="bogus"),
+    lambda: cloning.generate_fidelity_dataset(math.nan, []),
+    lambda: cloning.generate_fidelity_dataset(2.0, []),
+    lambda: cloning.generate_fidelity_dataset(0.8, [], gain=math.nan)],
     ids=["mc-trials-nan", "ad-exact-fraction", "rounds-nan",
          "fidelity-above-one", "birth-trials-nan", "discrimination-delay-nan",
-         "discrimination-delay-negative", "discrimination-width-zero"])
+         "discrimination-delay-negative", "discrimination-width-zero",
+         "toa-sweep-empty-width-nan", "sweep-empty-n-max-nan",
+         "sweep-empty-eve-bogus", "sweep-empty-both-bad",
+         "entanglement-eve-bogus", "chsh-eve-bogus", "dataset-empty-q-nan",
+         "dataset-empty-q-above-one", "dataset-empty-gain-nan"])
 def test_invalid_library_input_is_value_error(call):
     """A NaN or fractional count is a ValueError, not a TypeError from
     deep inside, a fidelity above 1 is not iterated even 0 times, and a
     NaN delay or zero pulse width is not turned into nan or a division
-    error."""
+    error. An empty grid or record list does not return [] or an empty
+    array before every other argument is checked, and the pair-state
+    thresholds check the measurement they do not use."""
     with pytest.raises(ValueError):
         call()
 

@@ -1,5 +1,6 @@
 """Tests for copying fidelities, the birth-chain simulation and the fit."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -241,6 +242,23 @@ class TestFitQ:
     def test_bad_noise_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="noise sigma"):
             cloning.generate_fidelity_dataset(0.8, MU_GRID, noise_sigma=sigma)
+
+    @pytest.mark.parametrize("gain", [
+        np.nan, -1.0, 0.5, math.nextafter(1.0, 0.0), np.inf])
+    def test_bad_gain_rejected_before_any_record(self, gain, monkeypatch):
+        """A gain below 1 or NaN used to surface as a bad mu_out of the
+        first record."""
+        def no_records(*args):
+            raise AssertionError("a record was built")
+        monkeypatch.setattr(cloning, "_checked_law_terms", no_records)
+        with pytest.raises(ValueError, match="gain"):
+            cloning.generate_fidelity_dataset(0.8, MU_GRID, gain=gain)
+
+    def test_overflowing_gain_rejected(self):
+        """gain * mu_in past the float range used to warn of an overflow
+        in multiply before the records raised."""
+        with pytest.raises(ValueError, match="overflows"):
+            cloning.generate_fidelity_dataset(0.8, [0.5, 10.0], gain=1e308)
 
     @pytest.mark.parametrize("col, value", [
         (0, np.inf), (1, np.nan), (1, np.inf), (2, np.nan), (2, -np.inf)])

@@ -76,9 +76,9 @@ def enumerated_outcome(dist, n):
                 w[c] += pi_k[k] * np.prod([q[c, k, e] for e in seq])
         tot = w.sum()
         if tot > 0.0:
-            h_cond += 0.5 * tot * qkd.binary_entropy(w[0] / tot)
+            h_cond += 0.5 * tot * float(qkd.h2(w[0] / tot))
     return distill.AdOutcome(n, float(p_acc), float(eps_post),
-                             1.0 - qkd.binary_entropy(eps_post), 1.0 - h_cond)
+                             1.0 - float(qkd.h2(eps_post)), 1.0 - h_cond)
 
 
 def dense_min_block(dist, n_max):

@@ -3,7 +3,11 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import dataset_oracle
 import fit_oracle
 from eve_tables import BASES, eigen_table
 from pair_oracle import bell_diagonal, chsh_max, recurrence_explicit
@@ -110,7 +115,7 @@ def test_closed_arrival_time_matches_numeric(theta, phi, pmd_axis, dtau,
     pmd = wm.PmdElement(dtau, pmd_axis)
     post = wm.PdlElement(gamma_db, pdl_axis)
     closed = wm.mean_toa_closed(pulse, pmd, post)
-    numeric = wm.mean_toa_numeric(wm.propagate(pulse, [pmd, post]))
+    numeric = wm.propagate(pulse, [pmd, post]).mean_toa()
     assert abs(numeric - closed) <= 1e-13 * t_c
 
 
@@ -195,6 +200,44 @@ def test_fit_q_matches_point_by_point_scan(q, records):
     law = (core + mu_out + mu_in) / (core + 2.0 * mu_out)
     data = np.column_stack([mu_in, mu_out, np.clip(law + noise, 1e-9, 1.0)])
     assert cloning.fit_q(data) == fit_oracle.fit_q(data)
+
+
+@PROPERTY
+@given(st.floats(0.0, 1.0), st.floats(1.0, 1e100),
+       st.one_of(st.just(0.0), st.floats(1e-6, 0.5)), st.integers(0, 2 ** 32),
+       st.sampled_from([0, 1, 57]).flatmap(lambda k: hnp.arrays(
+           float, k, elements=st.floats(1e-300, 1e100))))
+def test_fidelity_dataset_matches_per_record_loop(q, gain, sigma, seed, mu_in):
+    """The law evaluated over the whole array gives the bits of one
+    fidelity_classical call a record, with and without noise, on 0, 1
+    and many records."""
+    got = cloning.generate_fidelity_dataset(q, mu_in, gain, sigma, seed)
+    want = dataset_oracle.generate_fidelity_dataset(q, mu_in, gain, sigma,
+                                                    seed)
+    assert got.shape == want.shape == (mu_in.size, 3)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_failing_property_reports_its_example(tmp_path):
+    """Under this repo's pytest settings a failing property ends the run
+    with exit 1 and prints its falsifying example. Printing it imports
+    libcst, whose DeprecationWarning the "error" filter used to turn into
+    an INTERNALERROR with exit 3 and no example."""
+    (tmp_path / "test_fails.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None, derandomize=True)
+        @given(st.integers())
+        def test_negative(x):
+            assert x < 0
+        """))
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config),
+         "-p", "no:cacheprovider", "-q", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
 
 
 # Values for flags whose spec carries no interval: the edges of the

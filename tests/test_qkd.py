@@ -326,9 +326,9 @@ class TestMutualInformation:
                                                                    abs=1e-12)
 
     def test_entropy_convention(self):
-        assert qkd.binary_entropy(0.0) == 0.0
-        assert qkd.binary_entropy(1.0) == 0.0
-        assert qkd.binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
+        assert qkd.h2(0.0) == 0.0
+        assert qkd.h2(1.0) == 0.0
+        assert qkd.h2(0.5) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestThresholds:
