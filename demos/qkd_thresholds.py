@@ -19,17 +19,18 @@ for r in distill.equivalence_sweep(np.arange(0.0, 0.41, 0.025), n_max=None):
           f"  {r.min_pt_eigenvalue:+9.5f}   {r.entangled}")
 
 print()
-print("Critical disturbances (bisection to 1e-6):")
+print("Critical disturbances (exact roots):")
 one_way = qkd.threshold("one_way")
 chsh = qkd.threshold("chsh")
 ent = qkd.threshold("entanglement")
-print(f"  one-way key agreement fails at D = {one_way:.6f}")
-print(f"  CHSH violation stops at        D = {chsh:.6f}")
-print(f"  entanglement survives up to    D = {ent:.6f}")
+print(f"  one-way key agreement fails at D = {one_way!r}")
+print(f"  CHSH violation stops at        D = {chsh!r}")
+print(f"  entanglement survives up to    D = {ent!r}")
 print()
-print(f"  one-way vs CHSH difference: {abs(one_way - chsh):.2e}")
-print(f"  reference points: (1 - 1/sqrt(2))/2 = {(1 - 2 ** -0.5) / 2:.6f},"
-      f"  1 - 1/sqrt(2) = {1 - 2 ** -0.5:.6f}")
+print(f"  one-way and CHSH roots are one number: {one_way == chsh}")
+print("  I(A;B) = 1 - h(D) meets I(A;E) = 1 - h(1/2 - sqrt(D(1-D))) where")
+print("  2 sqrt(2) (1 - 2D) = 2, at D = (1 - 1/sqrt(2))/2; the pair stays")
+print("  entangled while (1 - D)^2 > 1/2, up to D = 1 - 1/sqrt(2).")
 print()
 print("The one-way boundary coincides with the CHSH boundary: as long as")
 print("the shared pair could still violate a Bell inequality, the sifted")

@@ -9,7 +9,7 @@ she measures each probe individually, either with the optimal binary
 measurement on her conditional probe states. The module derives the
 post-sifting classical distribution P(A, B, E), the mutual informations,
 and the critical disturbances for one-way key extraction, CHSH violation
-and entanglement. It also holds the package's one binary entropy, h2,
+and entanglement as exact roots. It also holds the package's binary entropy h2,
 which distill reads. Both the pair state's criteria and Eve's symbol
 tables are closed forms in the four Bell weights, so no density matrix
 is built and no measurement is diagonalised: each of her probes lies in a
@@ -18,7 +18,8 @@ two-register parity block, and both measurements project that block on
 pair parity, so its supports {0, 3} and {1, 2} hold by construction.
 Since lam_1 = lam_2, both protocol bases give the same table. The
 three-party state and the diagonalised measurements are the test oracle
-in tests/eve_tables.py.
+in tests/eve_tables.py, and a bisection on the mutual informations and
+pair_criteria is the oracle for the roots in tests/threshold_oracle.py.
 """
 
 import math
@@ -170,52 +171,32 @@ def mutual_information(dist, pair="ab"):
     return _entropy(px) + _entropy(py) - _entropy(joint.ravel())
 
 
-THRESHOLD_KINDS = ("one_way", "chsh", "entanglement")
+# The critical disturbances of this attack family (Fuchs, Gisin,
+# Griffiths, Niu & Peres, PRA 56, 1163 (1997); Gisin & Huttner, Phys.
+# Lett. A 228, 13 (1997)), written without cancellation: each is the
+# correctly rounded root, where (1 - 1/sqrt 2)/2 and 1 - sqrt(1/2) miss it
+# by one ulp.
+_ONE_WAY_ROOT = 0.5 / (2.0 + math.sqrt(2.0))
+_THRESHOLDS = {"one_way": _ONE_WAY_ROOT, "chsh": _ONE_WAY_ROOT,
+               "entanglement": 1.0 / (2.0 + math.sqrt(2.0))}
+THRESHOLD_KINDS = tuple(_THRESHOLDS)
 
 
 def threshold(kind, tol=1e-6, eve_measurement=HELSTROM_BINARY):
-    """Critical disturbance, located by bisection on [0, 0.5].
+    """Critical disturbance of the attack family, in closed form.
 
-    kind "one_way": I(A;B) = I(A;E) under the chosen Eve measurement;
-    kind "chsh": maximal CHSH value of the pair state crosses 2;
-    kind "entanglement": smallest partial-transpose eigenvalue crosses 0;
-    both read pair_criteria. The returned midpoint brackets the root
-    within tol.
+    kind "one_way": I(A;B) = 1 - h(D) meets I(A;E) = 1 - h(1/2 -
+    sqrt(D(1-D))), under either Eve measurement, at (1 - 1/sqrt 2)/2;
+    kind "chsh": the CHSH value 2 sqrt 2 (1 - 2D) crosses 2 at that same
+    root, so both kinds return one number;
+    kind "entanglement": the smallest partial-transpose eigenvalue
+    1/2 - (1-D)^2 crosses 0 at 1 - 1/sqrt 2.
+    tol is the accuracy asked for and must lie in [1e-6, 0.5); an exact
+    root meets any such tol. tests/threshold_oracle.py locates the same
+    roots by bisection on mutual_information and pair_criteria.
     """
     if kind not in THRESHOLD_KINDS:
         raise ValueError(f"kind must be one of {THRESHOLD_KINDS}, got {kind!r}")
     _check("tolerance", tol, 1e-6, math.nextafter(0.5, 0.0))
-    _check_eve(eve_measurement)  # unused by "chsh" and "entanglement"
-
-    if kind == "one_way":
-        def f(d):
-            dist = symbol_distribution(
-                AttackParams(d, eve_measurement=eve_measurement))
-            return mutual_information(dist, "ab") - mutual_information(dist, "ae")
-    elif kind == "chsh":
-        def f(d):
-            return pair_criteria(d)[1] - 2.0
-    else:
-        def f(d):
-            return -pair_criteria(d)[0]
-
-    lo, hi = 0.0, 0.5
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
-        raise RuntimeError(
-            f"no sign change for {kind} threshold on [0, 0.5]; "
-            "the attack family is broken")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if np.sign(fm) == np.sign(flo):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    _check_eve(eve_measurement)
+    return _THRESHOLDS[kind]

@@ -331,6 +331,10 @@ def _section_terms(jones, pmd, post):
     |a|^2, |b|^2 and 2 Re<a, b> of the closed form, and
     Re<psi|Pi sigma|psi> and <psi|Pi|psi> of the weak value. Only the
     axis of pmd enters."""
+    if not isinstance(pmd, PmdElement) or not (
+            post is None or isinstance(post, PdlElement)):
+        raise ValueError(f"expected a PmdElement and None or a PdlElement, "
+                         f"got {pmd!r} and {post!r}")
     slow, fast = pmd.slow_fast()
     k = np.eye(2, dtype=complex) if post is None else post.jones_matrix()
     a = (jones @ slow) * (k @ slow)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fidelity_records import save_fidelity_csv
-from qclink import cli, cloning
+from qclink import cli, cloning, qkd
 from qclink import weakmeas as wm
 
 
@@ -454,15 +454,22 @@ class TestReports:
         assert set(failed) - set(ok) == {"error"}
 
     def test_thresholds_summary_values(self, tmp_path):
-        code, csv_path, json_path = run_cli(
-            ["qkd", "thresholds"], tmp_path, "qkd-thresholds-0")
-        assert code == 0
-        report = json.loads(json_path.read_text())
-        assert report["summary"]["one_way"] == pytest.approx(0.1464, abs=1e-3)
-        assert report["summary"]["chsh"] == pytest.approx(0.1464, abs=1e-3)
-        assert report["summary"]["entanglement"] == pytest.approx(0.2929,
-                                                                  abs=1e-3)
-        assert report["config"]["seed"] == 0
+        """The exact roots, the same under either measurement."""
+        for eve in qkd.EVE_MEASUREMENTS:
+            code, csv_path, json_path = run_cli(
+                ["qkd", "thresholds", "--eve", eve], tmp_path,
+                "qkd-thresholds-0")
+            assert code == 0
+            assert csv_path.read_text().splitlines() == [
+                "kind,critical_disturbance",
+                "one_way,0.14644660940672624",
+                "chsh,0.14644660940672624",
+                "entanglement,0.2928932188134525"]
+            report = json.loads(json_path.read_text())
+            assert report["summary"] == {"one_way": 0.14644660940672624,
+                                         "chsh": 0.14644660940672624,
+                                         "entanglement": 0.2928932188134525}
+            assert report["config"]["seed"] == 0
 
     def test_no_attack_leaves_eve_nothing(self, tmp_path):
         """At D = 0 the binary measurement's table is exact, so Eve's

@@ -174,6 +174,24 @@ def test_symbol_table_matches_the_eigen_route(d, eve, basis):
     assert np.abs(got - eigen_table(params, basis)).max() <= 4e-15
 
 
+def _binary_entropy(p):
+    return 0.0 if p in (0.0, 1.0) else \
+        -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+@PROPERTY
+@given(st.floats(0.0, 0.5), st.sampled_from(qkd.EVE_MEASUREMENTS))
+def test_mutual_informations_match_their_closed_forms(d, eve):
+    """I(A;B) = 1 - h(D) and, under either measurement, I(A;E) = 1 -
+    h(1/2 - sqrt(D(1-D))): the identities that put the one-way threshold
+    at the CHSH root (1 - 1/sqrt 2)/2."""
+    dist = qkd.symbol_distribution(qkd.AttackParams(d, eve_measurement=eve))
+    i_ae = 1.0 - _binary_entropy(0.5 - math.sqrt(d * (1.0 - d)))
+    assert abs(qkd.mutual_information(dist, "ab")
+               - (1.0 - _binary_entropy(d))) <= 1e-14
+    assert abs(qkd.mutual_information(dist, "ae") - i_ae) <= 1e-14
+
+
 @PROPERTY
 @given(st.floats(0.0, 1.0),
        st.lists(st.floats(0.5, 50.0), min_size=3, max_size=8, unique=True))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import threshold_oracle
 from eve_tables import (BASES, BASIS_KETS, attack_state, conditional_probes,
                         eigen_table, helstrom, square_root_povm)
 from pair_oracle import (BELL_BASIS, KET_0, KET_1, KET_PLUS, bell_diagonal,
@@ -361,8 +362,9 @@ class TestThresholds:
         (1e-2, 0.14453125, 0.29296875),
         (0.1, 0.15625, 0.28125)])
     def test_pair_state_thresholds_unchanged(self, tol, chsh, entanglement):
-        assert qkd.threshold("chsh", tol=tol) == chsh
-        assert qkd.threshold("entanglement", tol=tol) == entanglement
+        assert threshold_oracle.threshold("chsh", tol=tol) == chsh
+        assert threshold_oracle.threshold("entanglement", tol=tol) == \
+            entanglement
 
     # Values of the bisection over the eigen-route symbol tables that
     # one_way used before it read the closed forms.
@@ -372,8 +374,41 @@ class TestThresholds:
         (1e-4, 0.146453857421875), (1e-3, 0.14599609375),
         (1e-2, 0.14453125), (0.1, 0.15625)])
     def test_one_way_thresholds_unchanged(self, eve, tol, expected):
-        assert qkd.threshold("one_way", tol=tol, eve_measurement=eve) == \
-            expected
+        assert threshold_oracle.threshold(
+            "one_way", tol=tol, eve_measurement=eve) == expected
+
+    @pytest.mark.parametrize("eve", qkd.EVE_MEASUREMENTS)
+    @pytest.mark.parametrize("tol", [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1])
+    @pytest.mark.parametrize("kind", qkd.THRESHOLD_KINDS)
+    def test_oracle_brackets_closed_root(self, kind, tol, eve):
+        """The bisection's midpoint lies within half its final bracket,
+        so within tol / 2, of the closed root."""
+        root = qkd.threshold(kind, tol=tol, eve_measurement=eve)
+        assert abs(threshold_oracle.threshold(kind, tol, eve) - root) <= \
+            tol / 2
+
+    def test_roots_are_correctly_rounded(self):
+        """Each root is float() of its 60-digit value: one_way and chsh
+        (1 - 1/sqrt 2)/2, entanglement 1 - 1/sqrt 2."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            entanglement = 1 - 1 / decimal.Decimal(2).sqrt()
+            expected = {"one_way": entanglement / 2,
+                        "chsh": entanglement / 2,
+                        "entanglement": entanglement}
+        for kind, value in expected.items():
+            for eve in qkd.EVE_MEASUREMENTS:
+                assert qkd.threshold(kind, eve_measurement=eve) == \
+                    float(value)
+
+    def test_pair_criteria_at_the_roots(self):
+        """The CHSH value reads 2 at the chsh root and the smallest
+        partial-transpose eigenvalue 0 at the entanglement root, to
+        within rounding."""
+        chsh = qkd.pair_criteria(qkd.threshold("chsh"))[1]
+        min_eig = qkd.pair_criteria(qkd.threshold("entanglement"))[0]
+        assert abs(chsh - 2.0) <= 4.5e-16
+        assert abs(min_eig) <= 2.3e-16
 
     def test_eve_information_monotone(self):
         values = []

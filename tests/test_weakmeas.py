@@ -68,6 +68,24 @@ def raised(call):
     return str(info.value)
 
 
+PULSE = wm.PolarizedPulse(TC, [1, 0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: wm.weak_value([1, 0], wm.PmdElement(0.5), "x"),
+    lambda: wm.weak_value([1, 0], "pmd"),
+    lambda: wm.mean_toa_closed(PULSE, wm.PmdElement(0.5), wm.PmdElement(1.0)),
+    lambda: wm.mean_toa_closed(PULSE, wm.PdlElement(3.0)),
+    lambda: wm.toa_transition_sweep([1, 0], 3.0, [0.1], 1.0)],
+    ids=["weak-value-post-str", "weak-value-pmd-str", "closed-post-pmd",
+         "closed-pmd-pdl", "sweep-post-float"])
+def test_wrong_element_type_is_value_error(call):
+    """A delay that is no PmdElement, or a post element that is neither
+    None nor a PdlElement, is rejected as propagate rejects an unknown
+    element, not left to raise AttributeError."""
+    assert "expected a PmdElement" in raised(call)
+
+
 class TestElements:
     def test_pulse_normalises_jones(self):
         p = wm.PolarizedPulse(2.0, [3.0, 4.0])
