@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Commands map one-to-one onto library operations. A run writes its result
-table to <outdir>/<command>-<seed>.csv (body deterministic for a fixed
-configuration) and a JSON report to <outdir>/<command>-<seed>.json with
-the timestamp, the configuration, and the summary or the error; the table
-lives only in the CSV. Exit codes: 0 success, 1 usage or validation error,
-2 numerical failure. A run that fails after parsing removes any earlier
-CSV of the same name and records the error in the report.
+Commands map one-to-one onto library operations. A handler returns its
+table as named columns, which one writer formats a block of rows at a
+time into <outdir>/<command>-<seed>.csv (body deterministic for a fixed
+configuration), and its summary, which <outdir>/<command>-<seed>.json
+holds with the timestamp and the configuration, or the error in its
+place; the table lives only in the CSV. Exit codes: 0 success, 1 usage
+or validation error, 2 numerical failure. A run that fails after
+parsing removes any earlier CSV of the same name and records the error
+in the report.
 
 A flat JSON config file can supply any flag (keys are flag names
 without the leading dashes); explicit command-line flags win. A flag
@@ -38,6 +40,7 @@ _D_RANGE = (0.0, 0.5)
 _BLOCKS = (1, distill.MAX_BLOCK)
 _STEPS = (1, 100_000)
 _POSITIVE = (math.ulp(0.0), sys.float_info.max)
+CSV_BLOCK = 2 ** 16  # rows per write: the CSV text is never held whole
 
 
 class UsageError(Exception):
@@ -66,23 +69,27 @@ class RunConfig:
     outdir: str
 
 
-def _d_grid(params):
+def _equivalence_table(params, fields):
+    """The chosen EquivalenceRow fields over the --d-min/--d-max grid, one
+    column each; the d column is headed D."""
     if params["d-max"] < params["d-min"]:
         raise ValueError("parameter --d-max must not be below --d-min")
-    return np.linspace(params["d-min"], params["d-max"], params["steps"])
-
-
-def _columns(sweep, fields):
-    """CSV header and rows of the chosen EquivalenceRow fields."""
-    return (["D" if f == "d" else f for f in fields],
-            [[getattr(r, f) for f in fields] for r in sweep])
+    grid = np.linspace(params["d-min"], params["d-max"], params["steps"])
+    sweep = distill.equivalence_sweep(grid, n_max=params["n-max"],
+                                      eve_measurement=params["eve"])
+    return {("D" if f == "d" else f): [getattr(r, f) for r in sweep]
+            for f in fields}
 
 
 # Pulse flags of the weak commands, echoed in this order as CSV columns.
 _PULSE_FLAGS = {"tc": (float, 1.0), "theta-pre": (float, np.pi / 4),
                 "phi-pre": (float, 0.0), "pdl-db": (float, 0.0),
                 "pdl-axis": (float, 0.0)}
-_PULSE_COLUMNS = [name.replace("-", "_") for name in _PULSE_FLAGS]
+
+
+def _echo(params, flags, rows=1):
+    """The values of the named flags as constant columns."""
+    return {k.replace("-", "_"): [params[k]] * rows for k in flags}
 
 
 def _pre(params):
@@ -98,75 +105,71 @@ def _post_element(params):
 
 
 def cmd_qkd_sweep(params, seed):
-    n_max = params["n-max"]
-    sweep = distill.equivalence_sweep(_d_grid(params), n_max=n_max,
-                                      eve_measurement=params["eve"])
     fields = ["d", "i_ab", "i_ae", "chsh", "entangled", "min_pt_eigenvalue",
               "singlet_fidelity"]
-    if n_max is not None:
+    if params["n-max"] is not None:
         fields.append("ad_min_block")
-    return *_columns(sweep, fields), {"points": len(sweep)}
+    table = _equivalence_table(params, fields)
+    return table, {"points": len(table["D"])}
 
 
 def cmd_qkd_thresholds(params, seed):
     summary = {kind: qkd.threshold(kind, eve_measurement=params["eve"])
                for kind in qkd.THRESHOLD_KINDS}
-    return ["kind", "critical_disturbance"], summary.items(), summary
+    return ({"kind": list(summary),
+             "critical_disturbance": list(summary.values())}, summary)
 
 
 def cmd_distill_classical(params, seed):
     n, trials = params["n"], params["trials"]
     dist = qkd.symbol_distribution(
         qkd.AttackParams(params["d"], eve_measurement=params["eve"]))
-    columns = ["mode", "block_size", "p_accept", "eps_post", "i_ab", "i_ae",
-               "advantage", "se_p_accept", "se_eps_post", "se_i_ae"]
-    ex = distill.ad_exact(dist, n)
-    rows = [["exact", ex.block_size, ex.p_accept, ex.eps_post, ex.i_ab,
-             ex.i_ae, ex.advantage, None, None, None]]
-    summary = {"advantage_exact": ex.advantage}
+    outcomes = {"exact": distill.ad_exact(dist, n)}
+    summary = {"advantage_exact": outcomes["exact"].advantage}
     if trials:
-        mc = distill.ad_monte_carlo(dist, n, trials=trials, seed=seed)
-        rows.append(["mc", mc.block_size, mc.p_accept, mc.eps_post, mc.i_ab,
-                     mc.i_ae, mc.advantage, mc.se_p_accept, mc.se_eps_post,
-                     mc.se_i_ae])
-        summary["accepted"] = mc.accepted
-    return columns, rows, summary
+        outcomes["mc"] = distill.ad_monte_carlo(dist, n, trials=trials,
+                                                seed=seed)
+        summary["accepted"] = outcomes["mc"].accepted
+    # The exact outcome has no standard errors: its se_* cells are empty.
+    table = {"mode": list(outcomes)}
+    for field in ["block_size", "p_accept", "eps_post", "i_ab", "i_ae",
+                  "advantage", "se_p_accept", "se_eps_post", "se_i_ae"]:
+        table[field] = [getattr(o, field, None) for o in outcomes.values()]
+    return table, summary
 
 
 def cmd_distill_quantum(params, seed):
     f0 = params["f0"]
-    steps = distill.recurrence_iterate(f0, params["rounds"])
-    rows = [[i + 1, f, p] for i, (f, p) in enumerate(steps)]
-    summary = {"f0": f0, "final_fidelity": steps[-1][0]}
-    return ["round", "fidelity", "success_probability"], rows, summary
+    fidelity, probability = zip(*distill.recurrence_iterate(f0,
+                                                            params["rounds"]))
+    table = {"round": range(1, len(fidelity) + 1), "fidelity": fidelity,
+             "success_probability": probability}
+    return table, {"f0": f0, "final_fidelity": fidelity[-1]}
 
 
 def cmd_distill_equivalence(params, seed):
-    sweep = distill.equivalence_sweep(_d_grid(params),
-                                      n_max=params["n-max"],
-                                      eve_measurement=params["eve"])
-    columns, rows = _columns(sweep, ["d", "entangled", "chsh", "i_ab", "i_ae",
-                                     "ad_min_block"])
-    present = [r.d for r in sweep if r.ad_min_block is not None]
-    absent = [r.d for r in sweep if r.ad_min_block is None]
+    table = _equivalence_table(params, ["d", "entangled", "chsh", "i_ab",
+                                        "i_ae", "ad_min_block"])
+    present, absent = [], []
+    for d, block in zip(table["D"], table["ad_min_block"]):
+        (absent if block is None else present).append(d)
     summary = {"ad_present_max_d": max(present) if present else None,
                "ad_absent_min_d": min(absent) if absent else None}
     if present and absent and max(present) < min(absent):
         summary["ad_threshold_estimate"] = 0.5 * (max(present) + min(absent))
-    return columns, rows, summary
+    return table, summary
 
 
 def cmd_clone_fidelity(params, seed):
     value = cloning.fidelity_opt(params["n"], params["m"])
-    return (["n", "m", "fidelity"], [[params["n"], params["m"], value]],
+    return ({**_echo(params, ["n", "m"]), "fidelity": [value]},
             {"fidelity": value})
 
 
 def cmd_clone_amplifier(params, seed):
     value = cloning.fidelity_classical(params["mu-in"], params["mu-out"],
                                        params["q"])
-    return (["mu_in", "mu_out", "q", "fidelity"],
-            [[params["mu-in"], params["mu-out"], params["q"], value]],
+    return ({**_echo(params, ["mu-in", "mu-out", "q"]), "fidelity": [value]},
             {"fidelity": value})
 
 
@@ -175,11 +178,11 @@ def cmd_clone_mc(params, seed):
     mean, se = cloning.birth_process_mc(n, m, trials=trials, seed=seed)
     exact = cloning.birth_process_exact(n, m)
     formula = cloning.fidelity_opt(n, m)
-    rows = [[n, m, trials, mean, se, exact, formula]]
-    return (["n", "m", "trials", "mc_fidelity", "std_error",
-             "exact_fidelity", "formula_fidelity"], rows,
-            {"mc_fidelity": mean, "std_error": se,
-             "formula_fidelity": formula})
+    table = {**_echo(params, ["n", "m", "trials"]), "mc_fidelity": [mean],
+             "std_error": [se], "exact_fidelity": [exact],
+             "formula_fidelity": [formula]}
+    return table, {"mc_fidelity": mean, "std_error": se,
+                   "formula_fidelity": formula}
 
 
 def cmd_clone_mixture(params, seed):
@@ -187,31 +190,29 @@ def cmd_clone_mixture(params, seed):
     gain = params["gain"]
     value = cloning.poisson_mixture_fidelity(mu_in, gain)
     reference = cloning.fidelity_classical(mu_in, gain * mu_in, 1.0)
-    rows = [[mu_in, gain, value, reference, value - reference]]
-    return (["mu_in", "gain", "mixture_fidelity", "amplifier_q1_fidelity",
-             "deviation"], rows,
-            {"mixture_fidelity": value, "deviation": value - reference})
+    table = {**_echo(params, ["mu-in", "gain"]), "mixture_fidelity": [value],
+             "amplifier_q1_fidelity": [reference],
+             "deviation": [value - reference]}
+    return table, {"mixture_fidelity": value, "deviation": value - reference}
 
 
 def cmd_clone_fit(params, seed):
     data = cloning.load_fidelity_csv(params["input"])
     q_hat, rss = cloning.fit_q(data)
-    rows = [[q_hat, rss, data.shape[0]]]
-    return (["q_hat", "rss", "records"], rows, {"q_hat": q_hat, "rss": rss})
+    return ({"q_hat": [q_hat], "rss": [rss], "records": [data.shape[0]]},
+            {"q_hat": q_hat, "rss": rss})
 
 
 def cmd_weak_toa(params, seed):
     pulse = _pulse(params)
     pmd = wm.PmdElement(params["dtau"])
     post = _post_element(params)
-    closed = wm.mean_toa_closed(pulse, pmd, post)
-    numeric = wm.propagate(pulse, [pmd, post]).mean_toa()
-    weak = wm.weak_value(_pre(params), pmd, post)
-    rows = [[params["dtau"], *(params[k] for k in _PULSE_FLAGS), closed,
-             numeric, weak]]
-    return (["dtau", *_PULSE_COLUMNS, "toa_closed", "toa_numeric",
-             "toa_weak"], rows,
-            {"toa_closed": closed, "toa_numeric": numeric, "toa_weak": weak})
+    summary = {"toa_closed": wm.mean_toa_closed(pulse, pmd, post),
+               "toa_numeric": wm.propagate(pulse, [pmd, post]).mean_toa(),
+               "toa_weak": wm.weak_value(_pre(params), pmd, post)}
+    table = {**_echo(params, ["dtau", *_PULSE_FLAGS]),
+             **{name: [value] for name, value in summary.items()}}
+    return table, summary
 
 
 def cmd_weak_sweep(params, seed):
@@ -228,21 +229,25 @@ def cmd_weak_sweep(params, seed):
     _check("delay", hi * t_c)
     sweep = wm.toa_transition_sweep(
         pre, post, np.geomspace(lo, hi, params["points"]) * t_c, t_c)
-    rows = [[r.delta_tau, *(params[k] for k in _PULSE_FLAGS), r.toa_exact,
-             r.toa_weak, r.abs_error] for r in sweep]
-    # The slope is fitted to the weak-end errors above round-off only.
-    weak_end = [(r.ratio, r.abs_error / (r.delta_tau / 2)) for r in sweep
-                if r.ratio <= 0.1]
-    weak_end = [p for p in weak_end if p[1] > SCALED_ERROR_FLOOR]
+    ratio, dtau, exact, weak, abs_error = (
+        np.array([getattr(r, f) for r in sweep]) for f in
+        ("ratio", "delta_tau", "toa_exact", "toa_weak", "abs_error"))
+    table = {"dtau": dtau, **_echo(params, _PULSE_FLAGS, len(sweep)),
+             "toa_exact": exact, "toa_weak": weak, "abs_error": abs_error}
+    # The slope is fitted to the weak-end errors above round-off only. A
+    # delay of one subnormal step halves to zero: a numerical failure.
+    weak_end = ratio <= 0.1
+    with np.errstate(divide="raise", invalid="raise"):
+        scaled = abs_error[weak_end] / (dtau[weak_end] / 2)
+    fitted = scaled > SCALED_ERROR_FLOOR
     slope = None
-    if len(weak_end) >= 3:
-        log_ratio, log_scaled = np.log(weak_end).T
-        slope = float(np.polyfit(log_ratio, log_scaled, 1)[0])
+    if np.count_nonzero(fitted) >= 3:
+        slope = float(np.polyfit(np.log(ratio[weak_end][fitted]),
+                                 np.log(scaled[fitted]), 1)[0])
     summary = {"strong_end_discrimination_error":
                sweep[-1].discrimination_error,
                "weak_end_scaled_error_slope": slope}
-    return (["dtau", *_PULSE_COLUMNS, "toa_exact", "toa_weak", "abs_error"],
-            rows, summary)
+    return table, summary
 
 
 def cmd_weak_profile(params, seed):
@@ -251,15 +256,15 @@ def cmd_weak_profile(params, seed):
     t = wm.default_time_grid(field, step=params["step"], span=params["span"])
     profile = field.intensity(t)
     total = profile.sum(axis=1)
-    rows = zip(t, profile[:, 0], profile[:, 1], total)
     summary = {"energy": field.energy(),
                "peak_separation": wm.peak_separation(t, total)}
     try:
         summary["mean_toa"] = field.mean_toa()
     except ValueError:
         summary["mean_toa"] = None
-    return (["t", "intensity_x", "intensity_y", "intensity_total"], rows,
-            summary)
+    table = {"t": t, "intensity_x": profile[:, 0],
+             "intensity_y": profile[:, 1], "intensity_total": total}
+    return table, summary
 
 
 EVE_CHOICES = list(qkd.EVE_MEASUREMENTS)
@@ -356,16 +361,25 @@ def _config_flags(path, spec):
     return flags
 
 
-def _fmt_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _cell(value):
+    return "" if value is None else str(value)
+
+
+def _write_csv(path, table):
+    """Write named columns of equal length, CSV_BLOCK rows at a time. Bools
+    read true/false, None an empty cell, and any other value str(), so
+    floats keep their shortest round-trip form and integers every digit."""
+    columns = list(table.values())
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(table) + "\n")
+        for lo in range(0, len(columns[0]), CSV_BLOCK):
+            cells = []
+            for column in columns:
+                block = np.asarray(column[lo:lo + CSV_BLOCK])
+                if block.dtype.kind == "b":
+                    block = np.where(block, "true", "false")
+                cells.append(map(_cell, block.tolist()))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _jsonable(value):
@@ -395,7 +409,8 @@ def _write_report(config, path, **outcome):
 
 
 def execute(config):
-    """Run one command and write its report files. Returns the summary."""
+    """Run one command: its handler's named columns go to the CSV, its
+    summary to the JSON report. Returns the summary."""
     handler, spec = COMMANDS[tuple(config.command.split("-", 1))]
     os.makedirs(config.outdir, exist_ok=True)
     base = os.path.join(config.outdir, f"{config.command}-{config.seed}")
@@ -405,11 +420,8 @@ def execute(config):
             if interval and config.params[name] is not None:
                 _check(f"--{name}", config.params[name], *interval[0],
                        integer=kind is int)
-        columns, rows, summary = handler(config.params, config.seed)
-        with open(csv_path, "w", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            fh.writelines(",".join(map(_fmt_cell, row)) + "\n"
-                          for row in rows)
+        table, summary = handler(config.params, config.seed)
+        _write_csv(csv_path, table)
         _write_report(config, json_path, summary=summary)
     except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         # isfile: os.remove raises on a directory in the CSV's place.

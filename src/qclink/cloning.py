@@ -239,14 +239,22 @@ CSV_HEADER = ("mu_in", "mu_out", "fidelity")
 
 
 def load_fidelity_csv(path):
-    """Read a mu_in,mu_out,fidelity CSV into an (k, 3) array."""
+    """Read a mu_in,mu_out,fidelity CSV into an (k, 3) array; a row of
+    another width or a cell that is no number names its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
             raise ValueError(
                 f"{path}: expected header {','.join(CSV_HEADER)}, got {header}")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        try:
+            for row in filter(None, reader):  # blank lines are skipped
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"{len(row)} cells, expected 3")
+                rows.append(list(map(float, row)))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return _as_records(np.array(rows))

@@ -258,6 +258,12 @@ def _merge_coincident(delays, amps):
     return d[first], np.add.reduceat(amps[order], first, axis=0)
 
 
+def _check_pulse(pulse):
+    if not isinstance(pulse, PolarizedPulse):
+        raise ValueError(f"expected a PolarizedPulse, got {pulse!r}")
+    return pulse
+
+
 def propagate(pulse, elements):
     """Send a pulse through an ordered chain of delay and loss elements.
 
@@ -269,7 +275,7 @@ def propagate(pulse, elements):
     dropped. Output energy never exceeds the input energy and is
     conserved exactly when the chain contains no loss element.
     """
-    delays, amps = np.zeros(1), pulse.jones[None, :]
+    delays, amps = np.zeros(1), _check_pulse(pulse).jones[None, :]
     # A delay past the float range becomes inf, which PropagatedField
     # rejects with a ValueError.
     with np.errstate(over="ignore"):
@@ -361,8 +367,8 @@ def _closed_toa(terms, dtau, t_c):
 
 def mean_toa_closed(pulse, pmd, post=None):
     """Closed-form mean arrival time after one delay and one post element."""
-    toa, den = _closed_toa(_section_terms(pulse.jones, pmd, post),
-                           float(pmd.delta_tau), float(pulse.t_c))
+    terms = _section_terms(_check_pulse(pulse).jones, pmd, post)
+    toa, den = _closed_toa(terms, float(pmd.delta_tau), float(pulse.t_c))
     _check_den(den, _BLOCKED)
     return float(toa)
 

@@ -205,6 +205,8 @@ FIELD_AMPS = [[1.0, 0.0], [0.0, 1.0]]
     lambda: wm.PropagatedField(1.0, [0.0], np.ones((1, 1, 2))),
     lambda: wm.PropagatedField(1.0, [0.0, 1.0], [[1.0, 0.0], [math.nan, 0]]),
     lambda: wm.weak_value([1.0, 0.0, 0.0], wm.PmdElement(0.5)),
+    lambda: wm.propagate([1.0, 0.0], [wm.PmdElement(0.5)]),
+    lambda: wm.mean_toa_closed([1.0, 0.0], wm.PmdElement(0.5)),
     lambda: cloning.generate_fidelity_dataset(0.8, 1.0),
     lambda: cloning.generate_fidelity_dataset(0.8, [[1.0, 2.0]]),
     lambda: cloning.generate_fidelity_dataset(0.8, [1.0, math.nan]),
@@ -213,13 +215,15 @@ FIELD_AMPS = [[1.0, 0.0], [0.0, 1.0]]
     lambda: qkd.h2([1.2, -0.1])],
     ids=["sweep-0d", "sweep-2d", "sweep-nan", "peaks-lengths", "peaks-2d",
          "peaks-0d", "field-2d", "field-0d", "field-nan", "amps-flat",
-         "amps-3d", "amps-nan", "jones-3", "dataset-0d", "dataset-2d",
+         "amps-3d", "amps-nan", "jones-3", "propagate-jones-list",
+         "closed-toa-jones-list", "dataset-0d", "dataset-2d",
          "dataset-nan", "h2-nan", "h2-inf", "h2-out-of-range"])
 def test_array_entry_points_raise_value_error(call):
     """A 0-d or 2-D grid, intensities of another length than their times,
     amplitudes of another shape than (delays, 2), a 3-vector Jones input,
-    a NaN entry and a probability outside [0, 1] raise ValueError, where
-    they used to raise TypeError or IndexError, return 0.0, reshape the
+    a Jones list where a PolarizedPulse is due, a NaN entry and a
+    probability outside [0, 1] raise ValueError, where they used to raise
+    TypeError, IndexError or AttributeError, return 0.0, reshape the
     amplitudes into other terms, or read NaN or 1.2 as zero bits."""
     with pytest.raises(ValueError):
         call()

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import csv_oracle
 from fidelity_records import save_fidelity_csv
 from qclink import cli, cloning, qkd
 from qclink import weakmeas as wm
@@ -406,8 +407,9 @@ class TestReports:
         assert json_path.stat().st_size < 4096
 
     def test_rows_stream_to_the_csv(self, tmp_path):
-        """A 2e5-row profile is written row by row: holding its rows as
-        lists and the CSV as one string would take about 94 MB."""
+        """A 2e5-row profile is written a block of rows at a time:
+        holding its rows as lists and the CSV as one string would take
+        about 94 MB."""
         tracemalloc.start()
         try:
             code, csv_path, _ = run_cli(
@@ -583,6 +585,66 @@ class TestReports:
         assert [[r[c] for c in shared] for r in qkd_rows] == \
             [[r[c] for c in shared] for r in distill_rows]
         assert {r["ad_min_block"] for r in qkd_rows} > {""}
+
+
+# The README's example arguments of every command.
+README_ARGS = {
+    ("qkd", "sweep"): "--d-min 0 --d-max 0.4 --steps 81 --n-max 30",
+    ("qkd", "thresholds"): "",
+    ("distill", "classical"): "--d 0.25 --n 10 --trials 100000",
+    ("distill", "quantum"): "--f0 0.75 --rounds 10",
+    ("distill", "equivalence"): "--d-min 0.2 --d-max 0.36 --steps 33 "
+                                "--n-max 30",
+    ("clone", "fidelity"): "--n 1 --m 2",
+    ("clone", "amplifier"): "--mu-in 5 --mu-out 50 --q 0.8",
+    ("clone", "mc"): "--n 1 --m 3 --trials 100000",
+    ("clone", "mixture"): "--mu-in 5 --gain 10",
+    ("clone", "fit"): "--input {records}",
+    ("weak", "toa"): "--dtau 0.05 --pdl-db 15 --pdl-axis 0.9",
+    ("weak", "sweep"): "--ratio-min 1e-3 --ratio-max 10 --points 25",
+    ("weak", "profile"): "--dtau 3 --theta-pre 0.7853981633974483"}
+
+
+class TestCsvWriter:
+    """The block writer gives the bytes of the row-by-row oracle, which
+    formats the same values, so no float's bits are assumed."""
+
+    @staticmethod
+    def written(tmp_path, table):
+        path = tmp_path / "table.csv"
+        cli._write_csv(path, table)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("key", list(cli.COMMANDS), ids="-".join)
+    def test_every_command_matches_the_oracle(self, key, tmp_path):
+        records = tmp_path / "records.csv"
+        save_fidelity_csv(records, cloning.generate_fidelity_dataset(
+            0.8, np.geomspace(0.5, 50, 12), noise_sigma=0.005, seed=1))
+        config = cli.parse(
+            [*key, *README_ARGS[key].format(records=records).split()])
+        table, _ = cli.COMMANDS[key][0](config.params, config.seed)
+        assert self.written(tmp_path, table) == \
+            csv_oracle.csv_text(table).encode()
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 2 ** 16])
+    def test_edge_cells_across_blocks(self, block, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_BLOCK", block)
+        table = {
+            "x": np.array([-0.0, np.inf, -np.inf, np.nan, 0.1]),
+            "y": [-0.0, math.inf, math.nan, 5e-324, 1e16],
+            "block": [None, 3, None, 10 ** 23, -(2 ** 64)],
+            "entangled": [True, False, True, True, False],
+            "flag": np.array([False, True, False, True, True]),
+            "mode": ["exact", "mc", "a b", "", "x"]}
+        text = self.written(tmp_path, table)
+        assert text == csv_oracle.csv_text(table).encode()
+        assert text.splitlines()[1:3] == [
+            b"-0.0,-0.0,,true,false,exact", b"inf,inf,3,false,true,mc"]
+        assert b",100000000000000000000000,true,true," in text
+
+    def test_empty_table_writes_its_header(self, tmp_path):
+        table = {"t": np.zeros(0), "flag": []}
+        assert self.written(tmp_path, table) == b"t,flag\n"
 
 
 class TestRuntimeDependencies:

@@ -349,6 +349,22 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             cloning.load_fidelity_csv(path)
 
+    @pytest.mark.parametrize("body, where, reason", [
+        ("1.0,2.0,0.9\n1.0,2.0\n", "line 3", "2 cells, expected 3"),
+        ("1.0,2.0,0.9\n1.0,2.0,0.9,0.1\n", "line 3", "4 cells, expected 3"),
+        ("1.0,2.0,0.9\n\n1.0,,0.9\n", "line 4", "could not convert"),
+        ("1.0,2.0,abc\n", "line 2", "could not convert")],
+        ids=["short-row", "long-row", "empty-cell", "non-numeric-cell"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, body, where,
+                                                reason):
+        """A ragged row, an empty cell and a word are still rejected, and
+        the message says where."""
+        path = tmp_path / "bad.csv"
+        path.write_text("mu_in,mu_out,fidelity\n" + body)
+        with pytest.raises(ValueError) as info:
+            cloning.load_fidelity_csv(path)
+        assert str(info.value).startswith(f"{path}, {where}: {reason}")
+
     def test_invalid_fidelity_rejected(self, tmp_path):
         path = tmp_path / "range.csv"
         path.write_text("mu_in,mu_out,fidelity\n1.0,2.0,1.5\n")
