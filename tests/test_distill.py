@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import math
 import tracemalloc
 
 import block_oracle
@@ -12,6 +13,7 @@ from scipy.special import gammaln
 from eve_tables import BASES, eigen_table
 from pair_oracle import bell_diagonal, chsh_max, recurrence_explicit
 from qclink import distill, qcore, qkd
+from qclink import weakmeas as wm
 
 
 def dist_at(d, eve=qkd.HELSTROM_BINARY):
@@ -607,6 +609,36 @@ class TestEquivalenceSweep:
             eigen = qkd.SymbolDistribution(eigen_table(params, basis))
             assert row.i_ae == pytest.approx(
                 qkd.mutual_information(eigen, "ae"), abs=1e-14)
+
+    def test_tables_read_as_the_benchmark_reads_them(self):
+        """bench/worker.py interleaves the parts of both sweeps into one
+        list by slice assignment and reads their fields row by row; a
+        change to the tables that breaks those reads fails here."""
+        grid = np.array([0.2, 0.24, 0.26, 0.34, 0.36])
+        rows = [None] * grid.size
+        for part in range(2):
+            got = distill.equivalence_sweep(grid[part::2], n_max=30)
+            assert len(got) == grid[part::2].size
+            rows[part::2] = got
+        assert [r.d for r in rows] == [float(d) for d in grid]
+        for r in rows:
+            assert r.entangled == (r.d < 1 - 1 / np.sqrt(2))
+            assert (r.chsh > 2.0) == (r.d < (1 - 1 / np.sqrt(2)) / 2)
+            assert (r.ad_min_block is None) == (r.d >= 0.33)
+            assert r.ad_min_block is None or type(r.ad_min_block) is int
+
+        pre, post = wm.jones_elliptical(0.7, 0.4), wm.PdlElement(20.0, 2.6)
+        grid = np.geomspace(1e-3, 10.0, 13)
+        rows = [None] * grid.size
+        for part in range(3):
+            got = wm.toa_transition_sweep(pre, post, grid[part::3], 1.0)
+            assert len(got) == grid[part::3].size
+            rows[part::3] = got
+        assert all(math.isfinite(r.toa_exact) and math.isfinite(r.toa_weak)
+                   for r in rows)
+        for i in (0, 6, 12):
+            assert rows[i].toa_exact == wm.mean_toa_closed(
+                wm.PolarizedPulse(1.0, pre), wm.PmdElement(grid[i]), post)
 
     def test_no_block_scan_without_n_max(self, monkeypatch):
         def refuse(*args, **kwargs):
