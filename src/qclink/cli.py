@@ -40,7 +40,7 @@ _D_RANGE = (0.0, 0.5)
 _BLOCKS = (1, distill.MAX_BLOCK)
 _STEPS = (1, 100_000)
 _POSITIVE = (math.ulp(0.0), sys.float_info.max)
-CSV_BLOCK = 2 ** 16  # rows per write: the CSV text is never held whole
+CSV_BLOCK = 2 ** 14  # rows per write: the CSV text is never held whole
 
 
 class UsageError(Exception):

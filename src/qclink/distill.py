@@ -23,12 +23,22 @@ positive advantage off it, ad_exact the last row of a pass over 1..n.
 One cached table per support set holds the rows of every block size
 1..MAX_BLOCK, ordered by size, so a pass over 1..n_max reads a prefix of
 it; the table keeps each branch's rows with their counts on its support
-already as floats, so a pass gathers nothing per call. The Monte Carlo
-harness refuses more than MC_MAX_TRIAL_SYMBOLS trial-symbols before it
-allocates anything and draws the symbols MC_CHUNK_SYMBOLS at a time. It
-accepts or rejects each block from its raw uniforms and decodes only
-the accepted blocks, so it holds one chunk plus 8 bytes per trial. The
-exact sums and the Monte Carlo take their binary entropies from qkd.h2.
+already as floats, so a pass gathers nothing per call, and a branch whose
+support holds every row adds its weights by slice. Eve's entropy of each
+block size is the ndarray.sum of its rows' terms, and one row sum over a
+zero-padded (n_max, 127) array takes all sizes at once with those bits:
+numpy sums a row of at most 128 entries with 8 lane accumulators over
+its 8-aligned body and then adds the tail one by one, so a size's body
+fills the first columns of its row, its tail starts at column 120, and
+the zeros between add +0.0 to non-negative sums, which is exact. Each
+row's column comes with the cached table; a size with more than 127
+rows (63 and 64 under the square-root measurement) keeps a sum of its
+own. The Monte Carlo harness refuses more than MC_MAX_TRIAL_SYMBOLS
+trial-symbols before it allocates anything and draws the symbols
+MC_CHUNK_SYMBOLS at a time. It accepts or rejects each block from its
+raw uniforms and decodes only the accepted blocks, so it holds one chunk
+plus 8 bytes per trial. The exact sums and the Monte Carlo take their
+binary entropies from qkd.h2.
 
 Quantum route: the standard two-pair recurrence step at the fidelity
 level, F' = (F^2 + ((1-F)/3)^2) / (F^2 + 2F(1-F)/3 + 5((1-F)/3)^2), and
@@ -62,6 +72,9 @@ MC_CHUNK_SYMBOLS = 1 << 16
 # log(k!) for k = 0..MAX_BLOCK: the block sums need no other factorials.
 _LOG_FACTORIAL = np.concatenate(
     [[0.0], np.cumsum(np.log(np.arange(1, MAX_BLOCK + 1)))])
+# Row width of _size_sums' padded array and the column its tails start at.
+_PAD = 127
+_TAIL = 120
 
 
 @dataclass(frozen=True)
@@ -93,20 +106,18 @@ class AdMonteCarloOutcome(AdOutcome):
 def _conditional_eve(dist):
     """q[c, k, e] = P(e | a=c, b=c^k), zero on branches of probability 0."""
     t = dist.table
-    q = np.zeros_like(t)
-    for c in (0, 1):
-        for k in (0, 1):
-            pab = t[c, c ^ k].sum()
-            if pab > 0.0:
-                q[c, k] = t[c, c ^ k] / pab
-    return q
+    # The rows (a, b) = (c, c^k) in the order (0, 0), (0, 1), (1, 0), (1, 1).
+    rows = t[[0, 0, 1, 1], [0, 1, 1, 0]]
+    pab = rows.sum(axis=1, keepdims=True)
+    q = np.divide(rows, pab, out=np.zeros_like(rows), where=pab > 0.0)
+    return q.reshape(t.shape)
 
 
 def _branch_supports(q):
     """The symbols e with q[c, k, e] > 0 of each branch (c, k), in the
     order (0, 0), (0, 1), (1, 0), (1, 1)."""
-    return tuple(tuple(np.flatnonzero(b).tolist())
-                 for b in q.reshape(4, -1) > 0.0)
+    return tuple(tuple(e for e, on in enumerate(b) if on)
+                 for b in (q.reshape(4, -1) > 0.0).tolist())
 
 
 def _simplex(n, s):
@@ -119,6 +130,38 @@ def _simplex(n, s):
     return np.column_stack([free, n - free.sum(axis=1)])
 
 
+def _pad_layout(index, sizes):
+    """Where _size_sums puts each entry of a vector grouped by its entries'
+    ascending size index 0..sizes-1. A size with L <= _PAD entries puts its
+    first 8 (L // 8) at the start of its row of a zero (sizes, _PAD) array
+    and the other L % 8 from column _TAIL on. Returns each entry's position
+    in that array flattened behind a spare slot 0, which takes the entries
+    of the sizes longer than _PAD, and the (size index, start, end) of each
+    such size."""
+    starts = np.searchsorted(index, np.arange(sizes + 1))
+    lengths = np.diff(starts)
+    length = lengths[index]
+    offset = np.arange(index.size) - starts[index]
+    body = length - length % 8
+    column = np.where(offset < body, offset, offset - body + _TAIL)
+    flat = np.where(length <= _PAD, 1 + index * _PAD + column, 0)
+    return flat, tuple((n, int(starts[n]), int(starts[n + 1]))
+                       for n in np.flatnonzero(lengths > _PAD).tolist())
+
+
+def _size_sums(h, flat, long, sizes):
+    """The ndarray.sum of each size's entries of the non-negative h, bit for
+    bit: one row sum over the array padded as _pad_layout says, and a sum
+    apiece for the sizes longer than _PAD."""
+    x = np.zeros(1 + sizes * _PAD)
+    x[flat] = h
+    sums = x[1:].reshape(sizes, _PAD).sum(axis=1)
+    for n, lo, hi in long:
+        if n < sizes:
+            sums[n] = h[lo:hi].sum()
+    return sums
+
+
 @functools.cache
 def _count_rows(ne, branches):
     """Eve's symbol-count vectors for the block sizes 1..MAX_BLOCK that
@@ -126,11 +169,13 @@ def _count_rows(ne, branches):
     ordered by block size and then lexicographically, so the rows of the
     sizes 1..n are a prefix of the table. Returns the block-size index of
     each row, the number of rows of the sizes 1..n for n = 0..MAX_BLOCK,
-    and, for each branch, the indices of the rows inside its support with
+    for each branch the indices of the rows inside its support with
     their counts on that support as float64, their log multinomial
-    coefficients, their block-size index and its own prefix row counts.
-    One table serves every n_max. Every array is read-only, as the cache
-    shares it."""
+    coefficients, their block-size index and its own prefix row counts,
+    and the rows' _pad_layout, whose positions depend only on each row's
+    own block size, so a prefix of it lays out the sizes 1..n. One table
+    serves every n_max. Every array is read-only, as the cache shares
+    it."""
     blocks = []
     for n in range(1, MAX_BLOCK + 1):
         for support in set(branches) - {()}:
@@ -154,16 +199,19 @@ def _count_rows(ne, branches):
                            log_multinom[at], index[at],
                            np.searchsorted(sizes[at], sizes_upto, "right")))
     ends = np.searchsorted(sizes, sizes_upto, "right")
-    for arr in sum(per_branch, (index, ends)):
+    layout = _pad_layout(index, MAX_BLOCK)
+    for arr in sum(per_branch, (index, ends, layout[0])):
         arr.flags.writeable = False
-    return index, ends, tuple(per_branch)
+    return index, ends, tuple(per_branch), layout
 
 
 def _block_profiles(dist, n_max):
     """Exact block statistics of the block sizes 1..n_max in one pass over
     the count vectors inside the branch supports, read as the prefix of
-    _count_rows' table that holds the sizes 1..n_max. Returns the float64
-    arrays (p_accept, eps_post, i_ab, i_ae) over n = 1..n_max."""
+    _count_rows' table that holds the sizes 1..n_max. Eve's entropy of
+    each size is the ndarray.sum of its rows' terms, taken for all sizes
+    at once by _size_sums. Returns the float64 arrays (p_accept, eps_post,
+    i_ab, i_ae) over n = 1..n_max."""
     eps = error_rate(dist)
     q = _conditional_eve(dist)
     branches = _branch_supports(q)
@@ -173,23 +221,29 @@ def _block_profiles(dist, n_max):
     p_acc = good + bad
     eps_post = bad / p_acc
     pi_k = (good / p_acc, eps_post)
-    index, ends, rows = _count_rows(q.shape[2], branches)
+    index, ends, rows, (flat, long) = _count_rows(q.shape[2], branches)
     # The sizes 1..n_max are the first ends[n_max] rows of the table.
-    index = index[:ends[n_max]]
+    total = ends[n_max]
     # w[c] = sum_k pi_k * multinom * prod_e q[c,k,e]^n_e per vector
-    w = np.zeros((2, index.shape[0]))
+    w = np.zeros((2, total))
     for (c, k), ok, (at, counts, log_multinom, size, upto) in zip(
             np.ndindex(2, 2), branches, rows):
         m = upto[n_max]
-        logs = counts[:m] @ np.log(q[c, k, list(ok)]) + log_multinom[:m]
-        w[c, at[:m]] += pi_k[k][size[:m]] * np.exp(logs)
+        terms = counts[:m] @ np.log(q[c, k, list(ok)])
+        terms += log_multinom[:m]
+        np.exp(terms, out=terms)
+        terms *= pi_k[k][size[:m]]
+        # A branch whose support holds every row adds by slice.
+        w[c, slice(m) if at.size == index.size else at[:m]] += terms
     tot = w.sum(axis=0)
     mask = tot > 0.0
-    h = 0.5 * tot[mask] * h2(w[0, mask] / tot[mask])
-    # Each block size is summed on its own by ndarray.sum, whose
-    # pairwise order does not depend on the sizes around it.
-    bounds = np.searchsorted(index[mask], np.arange(n_max + 1)).tolist()
-    h_cond = np.array([h[a:b].sum() for a, b in zip(bounds, bounds[1:])])
+    if mask.all():
+        h = 0.5 * tot * h2(w[0] / tot)
+        flat = flat[:total]
+    else:  # rows of zero weight (D = 0) drop out of the sums and layout
+        h = 0.5 * tot[mask] * h2(w[0, mask] / tot[mask])
+        flat, long = _pad_layout(index[:total][mask], n_max)
+    h_cond = _size_sums(h, flat, long, n_max)
     # I(A;E) >= 0; at D = 0 the sum of 1 - H(A|E) reads -8.9e-16.
     return (p_acc, eps_post, 1.0 - h2(eps_post),
             np.maximum(1.0 - h_cond, 0.0))

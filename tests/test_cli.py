@@ -656,6 +656,19 @@ class TestCsvWriter:
             b"-0.0,-0.0,,true,false,exact", b"inf,inf,3,false,true,mc"]
         assert b",100000000000000000000000,true,true," in text
 
+    def test_peak_memory_is_one_block(self, tmp_path):
+        """On 999 001 rows of four float columns, the size of the largest
+        weak profile, the writer holds one block's text at a time."""
+        rng = np.random.default_rng(0)
+        table = dict(zip("abcd", rng.random((4, 999_001))))
+        tracemalloc.start()
+        try:
+            cli._write_csv(tmp_path / "table.csv", table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
     def test_empty_table_writes_its_header(self, tmp_path):
         table = {"t": np.zeros(0), "flag": []}
         assert self.written(tmp_path, table) == b"t,flag\n"

@@ -1,5 +1,6 @@
 """Tests for advantage distillation and the pair-recurrence protocol."""
 
+import collections
 import dataclasses
 import functools
 import math
@@ -231,7 +232,7 @@ class TestBlockEngine:
         q = distill._conditional_eve(dist)
         branches = distill._branch_supports(q)
         assert branches == ((0, 1, 2), (1, 3), (0, 2, 3), (2, 3))
-        index, _, rows = distill._count_rows(4, branches)
+        index, _, rows, _ = distill._count_rows(4, branches)
         counts = np.zeros((len(index), 4))
         for ok, (at, on_ok, *_) in zip(branches, rows):
             counts[np.ix_(at, ok)] = on_ok
@@ -258,7 +259,7 @@ class TestBlockEngine:
             distill.ad_min_block(dist, n_max)
         assert distill._count_rows.cache_info().currsize == 1
         branches = distill._branch_supports(distill._conditional_eve(dist))
-        index, ends, rows = distill._count_rows(4, branches)
+        index, ends, rows, _ = distill._count_rows(4, branches)
         upto = np.arange(distill.MAX_BLOCK + 1)[:, None]
         np.testing.assert_array_equal(ends, (index < upto).sum(axis=1))
         for *_, size, size_ends in rows:
@@ -639,6 +640,30 @@ class TestEquivalenceSweep:
         for i in (0, 6, 12):
             assert rows[i].toa_exact == wm.mean_toa_closed(
                 wm.PolarizedPulse(1.0, pre), wm.PmdElement(grid[i]), post)
+
+    @pytest.mark.parametrize("eve", qkd.EVE_MEASUREMENTS)
+    @pytest.mark.parametrize("grid", [[0.25], [0.0, 0.1, 0.2, 0.3, 0.5]])
+    def test_one_call_of_each_kernel_a_point(self, grid, eve, monkeypatch):
+        """The sweep calls symbol_distribution and ad_min_block once a
+        point through module attributes, where the benchmark's tracer
+        wraps them and counts its spans."""
+        calls = collections.Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        count(qkd, "symbol_distribution")
+        count(distill, "symbol_distribution")
+        count(distill, "ad_min_block")
+        rows = distill.equivalence_sweep(grid, n_max=8, eve_measurement=eve)
+        assert len(rows) == len(grid)
+        assert calls == {"symbol_distribution": len(grid),
+                         "ad_min_block": len(grid)}
 
     def test_no_block_scan_without_n_max(self, monkeypatch):
         def refuse(*args, **kwargs):

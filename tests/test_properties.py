@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -46,6 +46,32 @@ def birth_exact_by_dict(n, m):
     lambda n: st.tuples(st.just(n), st.integers(n, 200))))
 def test_birth_chain_matches_dict_enumeration(nm):
     assert cloning.birth_process_exact(*nm) == birth_exact_by_dict(*nm)
+
+
+# Segment lengths at the edges of numpy's 8-lane body, of _size_sums'
+# padded row (distill._PAD) and of numpy's 128-entry pairwise block.
+SEGMENT = st.one_of(st.sampled_from([0, 7, 8, 120, 127, 128, 130]),
+                    st.integers(0, 300))
+
+
+@PROPERTY
+@given(st.lists(SEGMENT, min_size=1, max_size=8), st.integers(0, 2 ** 32),
+       st.sampled_from([0.0, 0.5, 1.0]))
+@example([7, 8, 120, 127, 128, 130, 0], 1, 0.5)
+def test_padded_size_sums_match_each_segments_sum(lengths, seed, zeros):
+    """distill._size_sums over distill._pad_layout gives the ndarray.sum of
+    every segment bit for bit, on entries from zero through subnormals to
+    1e300, some share of them zeroed."""
+    rng = np.random.default_rng(seed)
+    total = sum(lengths)
+    h = rng.random(total) * 10.0 ** rng.integers(-323, 301, total)
+    h[rng.random(total) < zeros] = 0.0
+    index = np.repeat(np.arange(len(lengths)), lengths)
+    flat, long = distill._pad_layout(index, len(lengths))
+    sums = distill._size_sums(h, flat, long, len(lengths))
+    bounds = np.cumsum([0, *lengths])
+    want = np.array([h[a:b].sum() for a, b in zip(bounds, bounds[1:])])
+    assert sums.tobytes() == want.tobytes()
 
 
 @PROPERTY
