@@ -11,18 +11,22 @@ taking mean intensity mu_in to mu_out with quality Q in [0, 1],
     F = (Q mu_out mu_in + mu_out + mu_in) / (Q mu_out mu_in + 2 mu_out),
 
 which reproduces F(N, M) exactly at Q = 1 with integer intensities.
-The gain process itself is simulated as a birth chain: each new photon
-joins mode k with probability proportional to n_k + 1, the stimulated
-plus spontaneous emission weights. A Poisson mixture over input photon
-number and a least-squares recovery of Q from fidelity-vs-intensity
-records round out the analysis tools. Synthetic records take the law
+The gain process itself is a birth chain: each new photon joins mode k
+with probability proportional to n_k + 1, the stimulated plus
+spontaneous emission weights. That is a Polya urn, so its law has a
+closed form, built in O(M - N); a Monte Carlo steps the chain itself.
+A Poisson mixture over input photon number and a least-squares
+recovery of Q from fidelity-vs-intensity records round out the
+analysis tools. Synthetic records take the law
 over their whole array at once, as fidelity_classical takes it for one
 record. The fit scores its whole Q grid in one array pass, in (points,
 k) blocks of at most FIT_BLOCK residuals (one grid point a block once k
 exceeds it), so besides a contiguous copy of the records its
 temporaries stay within 128 kB or one row of k floats. The Monte Carlo
-birth chain holds about 34 bytes per trial and refuses more than
-BIRTH_MAX_TRIALS trials or BIRTH_MAX_TRIAL_STEPS trial-steps.
+birth chain steps BIRTH_BLOCK trials at a time and keeps only an
+integer histogram of their final counts, so it holds about 0.7 MB
+whatever the trial count, and refuses more than BIRTH_MAX_TRIALS trials
+or BIRTH_MAX_TRIAL_STEPS trial-steps.
 """
 
 import csv
@@ -33,9 +37,15 @@ import numpy as np
 
 from ._checks import check as _check, check_array as _check_array
 
-# Largest trial count birth_process_mc accepts: about 0.34 GB of samples.
+# Largest trial count birth_process_mc accepts. Its memory stays within one
+# block of trials, so this bounds only the time: about 0.13 s at m - n = 1.
 BIRTH_MAX_TRIALS = 10 ** 7
-# Largest trials * (m - n) birth_process_mc accepts: about 1.3 s of steps.
+# Trials birth_process_mc steps at once: 128 kB per float64 block array.
+BIRTH_BLOCK = 1 << 14
+# Largest M birth_process_mc accepts: its chain state n_sig + 1 <= M + 1
+# is a float, exact up to 2^53.
+BIRTH_MAX_M = 2 ** 53 - 1
+# Largest trials * (m - n) birth_process_mc accepts: about 0.7 s of steps.
 BIRTH_MAX_TRIAL_STEPS = 10 ** 8
 # Largest gain poisson_mixture_fidelity accepts: gain times the largest
 # photon number it keeps (108 at mu_in = 50) stays an exact integer.
@@ -85,46 +95,88 @@ def fidelity_classical(mu_in, mu_out, q):
     return num / den
 
 
-def birth_process_exact(n, m):
-    """Mean signal fraction of the birth chain, by exact state enumeration.
+def _descending_pmf(n, m):
+    """P(m), P(m - 1), ..., P(n) signal photons of the birth chain, for
+    checked ints m >= n >= 1: the largest entry (n + 1)/(m + 1) first,
+    then P(n + j - 1) = P(n + j) j / (n + j), so no entry overflows."""
+    j = np.arange(m - n, 0, -1)
+    desc = np.empty(m - n + 1)
+    desc[0] = (n + 1) / (m + 1)
+    np.divide(j, n + j, out=desc[1:])
+    return np.cumprod(desc, out=desc)
+
+
+def birth_process_pmf(n, m):
+    """Law of the birth chain's signal photon count, in O(m - n).
 
     The chain starts at (n, 0) photons in (signal, orthogonal) modes and
-    adds photons one at a time with weight n_k + 1 until m photons exist.
+    adds photons one at a time with weight n_k + 1 until m photons exist:
+    a Polya urn, so entry j is P(n + j signal photons) =
+    C(n + j, n) / C(m + 1, n + 1), for j = 0..m - n.
     """
     n, m = _copy_counts(n, m)
-    probs = np.ones(1)  # probs[j] = P(n + j signal photons)
-    for total in range(n, m):
-        p_sig = np.arange(n + 1, n + probs.size + 1) / (total + 2)
-        nxt = np.zeros(probs.size + 1)
-        nxt[:-1] = probs * (1.0 - p_sig)
-        nxt[1:] += probs * p_sig
-        probs = nxt
+    return _descending_pmf(n, m)[::-1].copy()
+
+
+def birth_process_exact(n, m):
+    """Mean signal fraction of the birth chain, from its exact law."""
+    n, m = _copy_counts(n, m)
     # Summed from the most signal photons down, in Python floats.
-    return sum((np.arange(n, n + probs.size) * probs)[::-1].tolist()) / m
+    counts = np.arange(m, n - 1, -1)
+    return sum((counts * _descending_pmf(n, m)).tolist()) / m
+
+
+def _birth_histogram(n, m, trials, seed):
+    """Final signal counts of `trials` seeded birth chains, as an int64
+    histogram over n..m, for checked arguments.
+
+    Trials run in blocks of BIRTH_BLOCK, each stepped through the whole
+    chain on its own PCG64(seed), advanced so that every trial reads the
+    uniform default_rng(seed) gives it when all trials draw one step at a
+    time. The state a = n_sig + 1 is an exact float, so a / (total + 2)
+    is that step's probability bit for bit.
+    """
+    hist = np.zeros(m - n + 1, dtype=np.int64)
+    a, u, p = (np.empty(min(trials, BIRTH_BLOCK)) for _ in range(3))
+    grow = np.empty(a.size, bool)
+    for lo in range(0, trials, BIRTH_BLOCK):
+        b = min(BIRTH_BLOCK, trials - lo)
+        bits = np.random.PCG64(seed)
+        bits.advance(lo)
+        draw = np.random.Generator(bits).random
+        ab, ub, pb, gb = a[:b], u[:b], p[:b], grow[:b]
+        ab.fill(n + 1)
+        for total in range(n, m):
+            draw(out=ub)
+            bits.advance(trials - b)
+            np.divide(ab, total + 2, out=pb)
+            ab += np.less(ub, pb, out=gb)
+        hist += np.bincount((ab - (n + 1)).astype(np.intp),
+                            minlength=hist.size)
+    return hist
 
 
 def birth_process_mc(n, m, trials, seed=0):
-    """Monte Carlo mean and standard error of the birth-chain fidelity."""
+    """Monte Carlo mean and standard error of the birth-chain fidelity.
+
+    Both come from exact integer sums of the final counts, so the mean is
+    correctly rounded.
+    """
     trials = _check("trials", trials, 10 ** 4, BIRTH_MAX_TRIALS, integer=True)
     seed = _check("seed", seed, 0, math.inf, integer=True)
     n, m = _copy_counts(n, m)
+    _check("M", m, 1, BIRTH_MAX_M, integer=True)
     if trials * (m - n) > BIRTH_MAX_TRIAL_STEPS:
         raise ValueError(
             f"trials * (m - n) = {trials * (m - n)} exceeds the Monte Carlo "
             f"budget of {BIRTH_MAX_TRIAL_STEPS} trial-steps")
-    rng = np.random.default_rng(seed)
-    n_sig = np.full(trials, n, dtype=np.int64)
-    # One set of step buffers for the whole chain: fresh temporaries of
-    # this size would be mapped and page-faulted again on every step.
-    u, p, grow = np.empty(trials), np.empty(trials), np.empty(trials, bool)
-    for total in range(n, m):
-        rng.random(out=u)
-        np.add(n_sig, 1, out=p)
-        np.divide(p, total + 2, out=p)
-        n_sig += np.less(u, p, out=grow)
-    samples = np.divide(n_sig, m, out=p)
-    se = samples.std(ddof=1) / np.sqrt(trials) if m > n else 0.0
-    return float(samples.mean()), float(se)
+    hist = _birth_histogram(n, m, trials, seed).tolist()
+    s1 = sum(h * k for h, k in zip(hist, range(n, m + 1)))
+    s2 = sum(h * k * k for h, k in zip(hist, range(n, m + 1)))
+    # Squared standard error of the mean of k / m, from the sample
+    # variance with ddof = 1, as one exact quotient rounded once.
+    se2 = (trials * s2 - s1 * s1) / (trials * trials * (trials - 1) * m * m)
+    return s1 / (trials * m), math.sqrt(se2)
 
 
 def poisson_mixture_fidelity(mu_in, gain):

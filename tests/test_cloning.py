@@ -2,10 +2,11 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import poisson
+from scipy.stats import chi2, poisson
 
 import fit_oracle
 from fidelity_records import save_fidelity_csv
@@ -98,16 +99,30 @@ class TestFidelityClassical:
         assert cloning.fidelity_classical(1e150, 1e151, 1.0) == 1.0
 
 
-def birth_mc_by_steps(n, m, trials, seed):
-    """The birth chain advanced one step at a time with fresh arrays: the
-    oracle for cloning.birth_process_mc."""
+def birth_mc_by_steps(n, m, trials, seed, weight=1.0):
+    """Final signal counts of the birth chain advanced one step at a time
+    with fresh arrays, each photon joining mode k with weight n_k +
+    weight: at weight 1 the oracle for cloning.birth_process_mc."""
     rng = np.random.default_rng(seed)
     n_sig = np.full(trials, n, dtype=np.int64)
     for total in range(n, m):
-        n_sig += rng.random(trials) < (n_sig + 1) / (total + 2)
-    samples = n_sig / m
-    se = samples.std(ddof=1) / np.sqrt(trials) if m > n else 0.0
-    return float(samples.mean()), float(se)
+        n_sig += rng.random(trials) < (n_sig + weight) / (total + 2 * weight)
+    return n_sig
+
+
+# False-alarm rate of one goodness-of-fit test of a correct chain.
+FIT_ALPHA = 1e-4
+
+
+def chi_square_sf(hist, pmf):
+    """Chi-square tail probability of a histogram of final counts under
+    the law pmf. The pmf rises with the count, so the least likely counts
+    are pooled from the low end until the pooled bin expects at least 5."""
+    expected = hist.sum() * pmf
+    edge = int(np.searchsorted(expected, 5.0))
+    obs = np.concatenate([[hist[:edge + 1].sum()], hist[edge + 1:]])
+    exp = np.concatenate([[expected[:edge + 1].sum()], expected[edge + 1:]])
+    return chi2.sf(((obs - exp) ** 2 / exp).sum(), obs.size - 1)
 
 
 class TestBirthProcess:
@@ -124,6 +139,14 @@ class TestBirthProcess:
                 assert cloning.birth_process_exact(n, m) == pytest.approx(
                     cloning.fidelity_opt(n, m), abs=1e-12)
 
+    def test_pmf_of_a_long_chain_is_finite(self):
+        """Built down from its largest entry, the law of a chain far past
+        the float range of C(m + 1, n + 1) keeps its mass."""
+        pmf = cloning.birth_process_pmf(500, 10 ** 4)
+        assert np.isfinite(pmf).all() and pmf[0] == 0.0
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-13)
+        assert pmf[-1] == 501 / 10_001
+
     def test_no_growth_is_exact_unity(self):
         mean, se = cloning.birth_process_mc(3, 3, trials=10_000, seed=0)
         assert mean == 1.0
@@ -138,10 +161,56 @@ class TestBirthProcess:
 
     @pytest.mark.parametrize("n, m, trials, seed", [
         (1, 2, 10_000, 0), (3, 3, 10_000, 1), (2, 41, 33_333, 7),
-        (5, 400, 20_000, 12)])
+        (5, 400, 20_000, 12), (4, 9, cloning.BIRTH_BLOCK, 2),
+        (4, 9, cloning.BIRTH_BLOCK + 1, 2),
+        (cloning.BIRTH_MAX_M - 1, cloning.BIRTH_MAX_M, 10_000, 3)])
     def test_matches_step_by_step_oracle(self, n, m, trials, seed):
-        assert cloning.birth_process_mc(n, m, trials, seed) == \
-            birth_mc_by_steps(n, m, trials, seed)
+        """Blocks of trials on advanced generators end in the oracle's
+        counts bit for bit (the last block full, short or of one trial),
+        and the mean is the correctly rounded mean of those counts."""
+        counts = birth_mc_by_steps(n, m, trials, seed)
+        hist = cloning._birth_histogram(n, m, trials, seed)
+        assert hist.dtype == np.int64
+        assert hist.tobytes() == np.bincount(counts - n,
+                                             minlength=m - n + 1).tobytes()
+        mean, se = cloning.birth_process_mc(n, m, trials, seed)
+        counts = counts.tolist()
+        s1 = sum(counts)
+        assert mean == float(Fraction(s1, trials * m))
+        var = Fraction(trials * sum(k * k for k in counts) - s1 * s1,
+                       trials * trials * (trials - 1) * m * m)
+        assert se == pytest.approx(math.sqrt(var), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [4, 10, 25, 40])
+    def test_whole_law_fits(self, n, m):
+        """Chi-square goodness of fit of 10^5 seeded trials against
+        birth_process_pmf. Each case would fail a correct chain with
+        probability FIT_ALPHA, so all twelve with at most 1.2e-3."""
+        hist = cloning._birth_histogram(n, m, 100_000, seed=1000 * n + m)
+        assert chi_square_sf(hist, cloning.birth_process_pmf(n, m)) \
+            > FIT_ALPHA
+
+    def test_whole_law_rejects_a_biased_chain(self):
+        """At 10^6 trials the fit passes the sampler and fails a chain
+        whose photons join mode k with weight n_k + 1.05."""
+        pmf = cloning.birth_process_pmf(1, 40)
+        hist = cloning._birth_histogram(1, 40, 10 ** 6, seed=5)
+        assert chi_square_sf(hist, pmf) > FIT_ALPHA
+        biased = birth_mc_by_steps(1, 40, 10 ** 6, seed=5, weight=1.05)
+        assert chi_square_sf(np.bincount(biased - 1, minlength=40), pmf) \
+            < FIT_ALPHA
+
+    def test_memory_is_per_block(self):
+        """10^6 trials: a float sample of every trial peaked at about
+        31 MiB; blocks of BIRTH_BLOCK trials stay within 4 MiB."""
+        tracemalloc.start()
+        try:
+            cloning.birth_process_mc(1, 10, 10 ** 6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_deterministic_per_seed(self):
         a = cloning.birth_process_mc(1, 5, trials=10_000, seed=9)
@@ -155,6 +224,13 @@ class TestBirthProcess:
     def test_memory_budget_checked_before_sampling(self):
         with pytest.raises(ValueError, match="trials"):
             cloning.birth_process_mc(1, 3, trials=cloning.BIRTH_MAX_TRIALS + 1)
+
+    def test_chain_past_exact_float_states_rejected(self):
+        """The chain state n_sig + 1 is a float: past 2^53 a step would
+        round away."""
+        with pytest.raises(ValueError, match="M must"):
+            cloning.birth_process_mc(cloning.BIRTH_MAX_M,
+                                     cloning.BIRTH_MAX_M + 1, trials=10 ** 4)
 
     def test_step_budget_checked_before_sampling(self):
         # 10^4 trials of 10^4 + 1 steps: just over BIRTH_MAX_TRIAL_STEPS.

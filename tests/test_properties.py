@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,8 @@ PROPERTY = settings(derandomize=True, max_examples=40, deadline=None,
 
 def birth_exact_by_dict(n, m):
     """The birth chain enumerated state by state in a dict keyed by the
-    signal photon count: the oracle for cloning.birth_process_exact."""
+    signal photon count: the oracle for cloning.birth_process_pmf, as
+    P(n + j signal photons) for j = 0..m - n."""
     probs = {n: 1.0}
     for total in range(n, m):
         nxt = {}
@@ -38,14 +40,40 @@ def birth_exact_by_dict(n, m):
             nxt[ns + 1] = nxt.get(ns + 1, 0.0) + p * p_sig
             nxt[ns] = nxt.get(ns, 0.0) + p * (1.0 - p_sig)
         probs = nxt
-    return sum(ns * p for ns, p in probs.items()) / m
+    return np.array([probs[ns] for ns in range(n, m + 1)])
+
+
+# Pairs 1 <= N <= M <= top.
+def copy_counts(top):
+    return st.integers(1, top).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(n, top)))
 
 
 @PROPERTY
-@given(st.integers(1, 200).flatmap(
-    lambda n: st.tuples(st.just(n), st.integers(n, 200))))
+@given(copy_counts(200))
+@example((1, 3))
+@example((1, 200))
 def test_birth_chain_matches_dict_enumeration(nm):
-    assert cloning.birth_process_exact(*nm) == birth_exact_by_dict(*nm)
+    """The closed law and the enumeration round differently, so they
+    agree state by state within 1e-13, not bit for bit."""
+    np.testing.assert_allclose(cloning.birth_process_pmf(*nm),
+                               birth_exact_by_dict(*nm), rtol=0, atol=1e-13)
+
+
+@PROPERTY
+@given(copy_counts(10 ** 4))
+@example((1, 10 ** 4))
+def test_birth_chain_mean_is_the_copying_fidelity(nm):
+    n, m = nm
+    exact = Fraction(m * n + m + n, m * (n + 2))
+    assert abs(Fraction(cloning.birth_process_exact(n, m)) - exact) <= 1e-13
+
+
+@PROPERTY
+@given(copy_counts(10 ** 4))
+@example((1, 10 ** 4))
+def test_birth_chain_law_sums_to_one(nm):
+    assert abs(cloning.birth_process_pmf(*nm).sum() - 1.0) <= 1e-13
 
 
 # Segment lengths at the edges of numpy's 8-lane body, of _size_sums'
